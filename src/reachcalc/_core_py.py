@@ -1,9 +1,7 @@
-"""Pure-Python machine kernels: the reference implementation.
+"""The machine kernel: the interpreter and the length-class scan.
 
-reachcalc.machine selects these at import when the compiled twin
-(reachcalc._core) is unavailable.  Both kernels must return identical
-results; the compiled one is only faster.  Programs arriving here are
-already validated (even length, terminal HALT only).
+reachcalc.machine and reachcalc.search call these directly.  Programs
+arriving here are already validated (even length, terminal HALT only).
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .machine import (
     DEFAULT_MAX_LEN,
     Scheme,
     enumerate_solutions,
-    kolmogorov_upper,
+    kolmogorov_upper,  # unused here; reachbench/layers.py wraps cli.kolmogorov_upper
     reachability_report,
 )
 from .reachability import reach_curve, reach_from_energy, reach_from_variation
@@ -157,13 +157,15 @@ def _cmd_reach(args) -> int:
 def _cmd_solve(args) -> int:
     target = _target_from(args)
     solutions = enumerate_solutions(target, args.max_len, scheme=_SCHEMES[args.scheme])
-    bound = kolmogorov_upper(target, args.max_len)
+    # Programs come in (length, lex) order, so the first is the shortest
+    # solution with kolmogorov_upper's tie-break.
+    first = solutions.programs[0] if solutions.programs else None
     header = [
         ("target", target),
         ("max_len", args.max_len),
         ("solutions", len(solutions)),
-        ("k_upper", bound.bits if bound else "none"),
-        ("witness", bound.witness.bits if bound else "none"),
+        ("k_upper", first.length if first else "none"),
+        ("witness", first.bits if first else "none"),
     ]
     if args.format == "table":
         for k, v in header:

@@ -13,9 +13,9 @@ proper prefix ends in a non-HALT opcode and is therefore itself invalid.
 
 A "problem" is a target bit string rho; the solution set of rho is every
 valid program up to a length cap whose output equals rho.  Enumeration goes
-by length class, lexicographic within a class.  The heavy class scans run on
-a compiled kernel when available (reachcalc._core, built from Cython) and on
-the pure-Python twin otherwise; CORE_BACKEND says which one is active.
+by length class, lexicographic within a class.  Programs run, and length
+classes are scanned, on the pure-Python kernel in reachcalc._core_py;
+CORE_BACKEND names it for the `--version` line.
 """
 
 from __future__ import annotations
@@ -39,12 +39,8 @@ from .errors import (
 from .lambertw import BranchChoice
 from .reachability import ReachabilityRecord, reach_from_variation
 
-try:
-    from . import _core  # compiled kernel, optional
-except ImportError:  # pragma: no cover - depends on the build environment
-    _core = None
-
-CORE_BACKEND = "compiled" if _core is not None else "pure"
+CORE_BACKEND = "pure"
+_core = None  # no compiled kernel; reachbench/layers.py reads this name
 
 __all__ = [
     "CORE_BACKEND",
@@ -169,14 +165,6 @@ def _as_program(program: Program | str) -> Program:
     return program if isinstance(program, Program) else Program(program)
 
 
-def _kernel(max_output_bits: int):
-    # The compiled kernel tracks output in a u64, so larger caps (or no
-    # compiled build at all) go to the pure twin.
-    if _core is not None and max_output_bits <= 64:
-        return _core
-    return _core_py
-
-
 def _check_limits(max_steps: int, max_output_bits: int) -> None:
     if max_steps < 1 or max_output_bits < 1:
         raise DomainError(
@@ -198,7 +186,7 @@ def run(
     """
     prog = _as_program(program)
     _check_limits(max_steps, max_output_bits)
-    status, out = _kernel(max_output_bits).run_bits(prog.bits, max_steps, max_output_bits)
+    status, out = _core_py.run_bits(prog.bits, max_steps, max_output_bits)
     if status == _core_py.STEP_CAP:
         raise ResourceExceeded(f"step cap {max_steps} breached by {prog.bits!r}")
     if status == _core_py.OUTPUT_CAP:
@@ -251,13 +239,12 @@ def enumerate_solutions(
     problem = _as_problem(rho)
     _check_limits(max_steps, max_output_bits)
     _check_enum_budget(max_len, budget)
-    kernel = _kernel(max_output_bits)
     hits: list[str] = []
     if problem.length <= max_output_bits:
         for n_opcodes in range(1, max_len // 2 + 1):
             if n_opcodes > max_steps:
                 break
-            hits.extend(kernel.scan_length_class(n_opcodes, problem.target, max_output_bits))
+            hits.extend(_core_py.scan_length_class(n_opcodes, problem.target, max_output_bits))
     programs = tuple(Program(b) for b in hits)
     weights = _distribution_for(programs, scheme) if programs else None
     return SolutionSet(problem, programs, weights, scheme)
@@ -281,11 +268,10 @@ def kolmogorov_upper(
     _check_enum_budget(max_len, budget)
     if problem.length > max_output_bits:
         return None
-    kernel = _kernel(max_output_bits)
     for n_opcodes in range(1, max_len // 2 + 1):
         if n_opcodes > max_steps:
             break
-        hits = kernel.scan_length_class(n_opcodes, problem.target, max_output_bits)
+        hits = _core_py.scan_length_class(n_opcodes, problem.target, max_output_bits)
         if hits:
             return ComplexityBound(2 * n_opcodes, Program(hits[0]))
     return None

@@ -17,7 +17,7 @@ import pytest
 
 import reachcalc
 from reachcalc import cli
-from reachcalc.machine import CORE_BACKEND
+from reachcalc.machine import CORE_BACKEND, kolmogorov_upper
 
 
 def run_cli(*argv):
@@ -114,6 +114,18 @@ def test_solve_table_header(capsys):
     out = capsys.readouterr().out
     for needle in ("target: 0", "solutions: 2", "k_upper: 4", "witness: 0011"):
         assert needle in out
+
+
+def test_solve_header_matches_kolmogorov_upper(capsys):
+    # "00" has two shortest solutions; the witness is the lexicographic first.
+    for rho, max_len in (("", 6), ("0", 6), ("00", 8), ("0101", 12), ("01010101", 8)):
+        assert run_cli("solve", rho, "--max-len", str(max_len)) == 0
+        header = dict(
+            line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:5]
+        )
+        bound = kolmogorov_upper(rho, max_len)
+        assert header["k_upper"] == (str(bound.bits) if bound else "none")
+        assert header["witness"] == (bound.witness.bits if bound else "none")
 
 
 def test_solve_records(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachcalc import _core_py
 from reachcalc.entropy import entropy_to_work
 from reachcalc.errors import (
     DegenerateSetWarning,
@@ -41,7 +42,7 @@ target_bits = st.text(alphabet="01", min_size=0, max_size=5)
 
 
 def test_backend_is_reported():
-    assert CORE_BACKEND in ("compiled", "pure")
+    assert CORE_BACKEND == "pure"
 
 
 # ------------------------------------------------------------------ validation
@@ -228,6 +229,27 @@ def test_enumerate_agrees_with_all_strings_oracle():
     for rho in ("", "0", "1", "01", "11", "000", "0101"):
         got = [p.bits for p in enumerate_solutions(rho, 10).programs]
         assert got == table.get(rho, [])
+
+
+def test_scan_length_class_pinned():
+    assert _core_py.scan_length_class(2, "0", 64) == ["0011"]
+    assert _core_py.scan_length_class(3, "0", 64) == ["100011"]
+    assert _core_py.scan_length_class(5, "01010101", 64) == ["0001101011"]
+    assert _core_py.scan_length_class(1, "", 64) == ["11"]
+    assert _core_py.scan_length_class(1, "0", 64) == []
+
+
+def test_enumerate_target_wider_than_64_bits():
+    problem = Problem("0" * 65, max_bits=128)
+    got = [p.bits for p in enumerate_solutions(problem, 18, max_output_bits=128).programs]
+    brute = [
+        bits
+        for k in range(1, 10)
+        for bits in iter_valid_programs(k)
+        if run(bits, max_output_bits=128) == problem.target
+    ]
+    assert got == brute
+    assert len(got) == 2 and got[0] == "000010101010100011"
 
 
 # ------------------------------------------------------------------ complexity
