@@ -99,9 +99,10 @@ def shannon_entropy(dist: DistributionLike) -> float:
 def entropy_variation(dist: DistributionLike, index: int) -> EntropyVariation:
     """Variation of element `index` (one-based, matching the enumeration 1..m).
 
-    The partial entropy is the plain sum over the other elements; the
-    difference equals -p(index) log2 p(index), which peaks at 1/(e ln2)
-    when p = 1/e.
+    The partial entropy is the plain sum over the other elements; their
+    difference is -p(index) log2 p(index), which peaks at 1/(e ln2) when
+    p = 1/e.  The variation is that term itself, not the difference of two
+    rounded sums.
     """
     d = _as_distribution(dist)
     if not isinstance(index, int) or isinstance(index, bool):
@@ -111,7 +112,7 @@ def entropy_variation(dist: DistributionLike, index: int) -> EntropyVariation:
     terms = [-p * math.log2(p) for p in d.probabilities]
     total = math.fsum(terms) + 0.0
     partial = math.fsum(t for j, t in enumerate(terms, start=1) if j != index) + 0.0
-    return EntropyVariation(index, total, partial, total - partial + 0.0)
+    return EntropyVariation(index, total, partial, terms[index - 1] + 0.0)
 
 
 @dataclass(frozen=True)

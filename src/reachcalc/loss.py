@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .lambertw import BRANCH_POINT, BranchChoice, eval_w, w_derivative
+from .lambertw import BRANCH_POINT, BranchChoice, eval_w
+from .lambertw import w_derivative  # unused; reachbench/layers.py wraps it here
 
 __all__ = [
     "LossEvaluation",
@@ -59,13 +60,14 @@ def f_exp_negw(z: float) -> float:
 
 
 def f_prime(z: float) -> float:
-    """f'(z) = -W0'(z) exp(-W0(z)), defined strictly above -1/e; f'(0) = -1."""
+    """f'(z) = -exp(-2 W0(z)) / (1 + W0(z)), defined strictly above -1/e; f'(0) = -1.
+
+    From W0'(z) = exp(-W0) / (1 + W0): no division by z, so no special case at 0.
+    """
     if math.isnan(z) or z <= BRANCH_POINT:
         raise DomainError(f"f' needs z strictly above -1/e, got {z!r}")
-    if z == 0.0:
-        return -1.0
     w = eval_w(z, BranchChoice.PRINCIPAL).value
-    return -(w / (z * (1.0 + w))) * math.exp(-w)
+    return -math.exp(-2.0 * w) / (1.0 + w)
 
 
 def matching_loss(z_hat: float, z: float) -> LossEvaluation:
@@ -108,22 +110,12 @@ def convexity_certificate(
     return ConvexityCertificate(worst >= -tol, worst, points, lo, hi, step)
 
 
-def f_inverse(y: float, iterations: int = 200) -> float:
-    """Invert f by bisection: the z in [-1/e, inf) with exp(-W0(z)) = y.
+def f_inverse(y: float) -> float:
+    """Invert f in closed form: the z in [-1/e, inf) with exp(-W0(z)) = y.
 
     f decreases from f(-1/e) = e toward 0, so any y in (0, e] has exactly
-    one preimage.
+    one preimage, W0(z) = -ln y, hence z = W0 exp(W0) = -ln(y) / y.
     """
     if math.isnan(y) or not 0.0 < y <= math.e:
         raise DomainError(f"f maps [-1/e, inf) onto (0, e], got y = {y!r}")
-    lo = BRANCH_POINT
-    hi = 1.0
-    while f_exp_negw(hi) > y:
-        hi *= 2.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if f_exp_negw(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -math.log(y) / y + 0.0  # fold -0.0 at y = 1

@@ -28,7 +28,8 @@ from itertools import product
 from typing import Iterator
 
 from . import _core_py
-from .entropy import FiniteDistribution, entropy_to_work, entropy_variation
+from .entropy import FiniteDistribution, entropy_to_work
+from .entropy import entropy_variation  # unused; reachbench/layers.py wraps it here
 from .errors import (
     DegenerateSetWarning,
     DomainError,
@@ -326,47 +327,27 @@ def reachability_report(
         raise EmptySetError(
             f"no solutions of length <= {max_len} for target {solutions.problem.target!r}"
         )
-    dist = solutions.weights
-    records = []
-    for i, prog in enumerate(solutions.programs, start=1):
-        variation = entropy_variation(dist, i).variation
-        if variation == 0.0:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                reach = reach_from_variation(variation, branch)
-            degenerate = True
-        else:
-            reach = reach_from_variation(variation, branch)
-            degenerate = False
-        records.append(
-            ReachabilityRecord(
-                program_id=prog.bits,
-                p_i=dist[i - 1],
-                variation=variation,
-                reachability=reach,
-                branch=branch,
-                energy=entropy_to_work(variation, temperature),
-                temperature=temperature,
-                degenerate=degenerate,
-            )
-        )
-    total = math.fsum(r.reachability for r in records)
-    normalized = [
-        (r.reachability / total) if total > 0.0 else 1.0 for r in records
-    ]
+    ps = solutions.weights.probabilities
+    # Closed-form variation -p log2 p; it is 0 only for a one-program set,
+    # whose branch-limit reachability is warned about once below.
+    variations = [-p * math.log2(p) + 0.0 for p in ps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSetWarning)
+        reaches = [reach_from_variation(h, branch) for h in variations]
+    total = math.fsum(reaches)
     records = [
         ReachabilityRecord(
-            program_id=r.program_id,
-            p_i=r.p_i,
-            variation=r.variation,
-            reachability=r.reachability,
-            branch=r.branch,
-            energy=r.energy,
-            temperature=r.temperature,
-            normalized=n,
-            degenerate=r.degenerate,
+            program_id=prog.bits,
+            p_i=p,
+            variation=h,
+            reachability=reach,
+            branch=branch,
+            energy=entropy_to_work(h, temperature),
+            temperature=temperature,
+            normalized=(reach / total) if total > 0.0 else 1.0,
+            degenerate=h == 0.0,
         )
-        for r, n in zip(records, normalized)
+        for prog, p, h, reach in zip(solutions.programs, ps, variations, reaches)
     ]
     if any(r.degenerate for r in records):
         warnings.warn(

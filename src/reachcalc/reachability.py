@@ -3,8 +3,8 @@
 A solution whose entropy variation is h satisfies P log2 P = -h, so P is
 recovered by inverting through the Lambert W function:
 
-    P = exp(-|W_-1(-h ln2)|)   (lower branch, the default: P in (0, 1/e])
-    P = exp(W_0(-h ln2))       (principal branch: P in [1/e, 1))
+    P = exp(W_-1(-h ln2))   (lower branch, the default: P in (0, 1/e])
+    P = exp(W_0(-h ln2))    (principal branch: P in [1/e, 1))
 
 The domain is 0 < h <= 1/(e ln2); both branches meet at the right endpoint
 where P = 1/e.  An energy form divides the Landauer work E = k T ln2 h back
@@ -84,9 +84,7 @@ def reach_from_variation(variation: float, branch: BranchChoice = BranchChoice.L
             f"entropy variation {variation!r} above the maximum 1/(e ln2) = {VARIATION_MAX}"
         )
     v = min(variation, VARIATION_MAX)
-    w = eval_w(-v * LN2, branch).value
-    # On this domain W <= 0 for both branches, so exp(-|W|) == exp(W).
-    return math.exp(-abs(w))
+    return math.exp(eval_w(-v * LN2, branch).value)
 
 
 def reach_from_energy(

@@ -20,6 +20,7 @@ from reachcalc.entropy import (
     work_to_entropy,
 )
 from reachcalc.errors import DomainError, InvalidDistribution
+from reachcalc.machine import Scheme, enumerate_solutions
 
 # Random probability vectors, normalized before use.
 weight_lists = st.lists(
@@ -144,6 +145,18 @@ def test_variation_equals_minus_p_log_p(ws, data):
     assert ev.variation + p * math.log2(p) == pytest.approx(0.0, abs=1e-12)
     assert ev.variation == pytest.approx(ev.total_entropy - ev.partial_entropy, abs=1e-15)
     assert -1e-12 <= ev.variation <= VARIATION_MAX + 1e-12
+
+
+def test_variation_within_ulps_of_minus_p_log_p():
+    """Every variation of a 60-element length-weighted set, checked at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        dist = enumerate_solutions("00000000", 24, scheme=Scheme.LENGTH_WEIGHTED).weights
+        assert len(dist) == 60
+        for i, p in enumerate(dist.probabilities, start=1):
+            exact = -p * mpmath.log(p, 2)
+            got = entropy_variation(dist, i).variation
+            assert abs(got - exact) <= 4 * math.ulp(float(exact)), i
 
 
 # ------------------------------------------------------------- thermo bridges

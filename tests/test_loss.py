@@ -56,6 +56,18 @@ def test_f_prime_matches_finite_difference():
         assert f_prime(z) == pytest.approx(fd, rel=1e-5)
 
 
+def test_f_prime_small_z_against_mpmath():
+    """Near 0 the closed form -exp(-2W)/(1+W) keeps full relative accuracy."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for k in range(-12, -2):
+            for m in (1.0, 2.5, 7.0):
+                for z in (m * 10.0**k, -m * 10.0**k):
+                    w = mpmath.lambertw(z).real
+                    exact = -mpmath.exp(-2 * w) / (1 + w)
+                    assert abs(f_prime(z) - exact) <= 1e-11 * abs(exact), z
+
+
 def test_f_prime_domain():
     with pytest.raises(DomainError):
         f_prime(BRANCH_POINT)
@@ -143,6 +155,20 @@ def test_f_inverse_pinned():
     assert f_inverse(math.e) == pytest.approx(BRANCH_POINT, abs=1e-9)
     omega = eval_w(1.0, BranchChoice.PRINCIPAL).value
     assert f_inverse(math.exp(-omega)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_f_inverse_closed_form_against_mpmath():
+    """f_inverse(y) is -ln(y)/y to within 2 ulps, and +0.0 at y = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ys = [math.exp(-0.5 * k) for k in range(-2, 120)] + [1e-10, 1e-300, 0.5, 0.999, math.e]
+        for y in ys:
+            exact = -mpmath.log(y) / y
+            if exact == 0:
+                continue
+            assert abs(f_inverse(y) - exact) <= 2 * math.ulp(float(exact)), y
+        assert f_inverse(1.0) == 0.0
+        assert math.copysign(1.0, f_inverse(1.0)) == 1.0
 
 
 def test_f_inverse_domain():

@@ -347,6 +347,17 @@ def test_report_degenerate_principal_limit():
     assert records[0].normalized == 1.0
 
 
+@pytest.mark.parametrize("rho", ["", "0101"])
+def test_report_variation_within_ulps_of_minus_p_log_p(rho):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        records = reachability_report(rho, 24, scheme=Scheme.LENGTH_WEIGHTED)
+        assert len(records) > 10
+        for r in records:
+            exact = -r.p_i * mpmath.log(r.p_i, 2)
+            assert abs(r.variation - exact) <= 4 * math.ulp(float(exact)), r.program_id
+
+
 def test_report_empty_set():
     with pytest.raises(EmptySetError):
         reachability_report("01010101", 8)
