@@ -1,7 +1,12 @@
-"""The machine kernel: the interpreter and the length-class scan.
+"""The machine kernel: the interpreter, the length-class scan and the
+target-prefix walk.
 
 reachcalc.machine and reachcalc.search call these directly.  Programs
 arriving here are already validated (even length, terminal HALT only).
+
+The rank of a program of n opcodes is its body read as n - 1 base-3
+digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
+is lexicographic bit order.
 """
 
 from __future__ import annotations
@@ -56,4 +61,50 @@ def scan_length_class(n_opcodes: int, target: str, max_output_bits: int) -> list
         status, out = run_bits(bits, n_opcodes, max_output_bits)
         if status == OK and out == target:
             hits.append(bits)
+    return hits
+
+
+def rank_bits(n_opcodes: int, rank: int) -> str:
+    """The program of n_opcodes opcodes with the given rank."""
+    body = []
+    for _ in range(n_opcodes - 1):
+        rank, digit = divmod(rank, 3)
+        body.append(_OPCODES[digit])
+    return "".join(reversed(body)) + "11"
+
+
+def class_hit_ranks(n_opcodes: int, target: str, max_steps: int, max_output_bits: int,
+                    stop: int | None = None) -> list[int]:
+    """Ascending ranks of the programs of n_opcodes opcodes that print `target`
+    under the caps, only those below `stop` when it is given.
+
+    The output only grows, so a program hits only if its output stays a
+    prefix of the target at every step.  The walk tracks the prefix length
+    and tries the opcodes in rank order, so its hits come out sorted and a
+    class costs its hits, not its 3**(n_opcodes - 1) candidates.
+    """
+    size = len(target)
+    if not 1 <= n_opcodes <= max_steps or size > max_output_bits:
+        return []  # no such class, or run_bits stops all of it at a cap
+    hits: list[int] = []
+    # (prefix length, rank of the opcodes taken, free opcodes left); a node's
+    # subtree holds the ranks rank * 3**left up to the next multiple.
+    stack = [(0, 0, n_opcodes - 1)]
+    while stack:
+        state, rank, left = stack.pop()
+        if stop is not None and rank * 3**left >= stop:
+            break  # every node still on the stack lies above this one
+        if left == 0:
+            if state == size:
+                hits.append(rank)
+            continue
+        if state and left > size - state:
+            continue  # a non-empty output grows with every opcode: too long
+        # Push the double (digit 2) first so the emit (digit 0 or 1) pops first.
+        if state == 0:
+            stack.append((0, 3 * rank + 2, left - 1))
+        elif target[state : 2 * state] == target[:state]:
+            stack.append((2 * state, 3 * rank + 2, left - 1))
+        if state < size:
+            stack.append((state + 1, 3 * rank + (target[state] == "1"), left - 1))
     return hits

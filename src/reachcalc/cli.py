@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 
 from . import __version__
 from .entropy import VARIATION_MAX, entropy_to_work
@@ -66,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(rows: list[dict], keys: tuple[str, ...], fmt: str) -> None:
+def _emit(rows: Iterable[dict], keys: tuple[str, ...], fmt: str) -> None:
     if fmt == "records":
         sys.stdout.write(records_text(rows, keys))
     elif fmt == "csv":
@@ -241,10 +242,10 @@ def _cmd_search(args) -> int:
         for k, v in summary:
             sys.stdout.write(f"{k}: {format_value(v)}\n")
         return 0
-    rows = [
+    rows = (
         {"program": bits, "length": len(bits), "outcome": outcome}
-        for bits, outcome in trace.steps
-    ]
+        for bits, outcome in trace.iter_steps()
+    )
     _emit(rows, TRACE_KEYS, args.format)
     return 0
 

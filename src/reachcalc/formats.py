@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 
 from .errors import DomainError
 
@@ -44,14 +45,14 @@ def format_value(value) -> str:
     return str(value)
 
 
-def records_text(rows: list[dict], keys: tuple[str, ...]) -> str:
+def records_text(rows: Iterable[dict], keys: tuple[str, ...]) -> str:
     lines = [
         " ".join(f"{k}={format_value(row[k])}" for k in keys) for row in rows
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def csv_text(rows: list[dict], keys: tuple[str, ...]) -> str:
+def csv_text(rows: Iterable[dict], keys: tuple[str, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)

@@ -17,15 +17,22 @@ Three deterministic policies over the toy machine's size classes:
 
 Budgets cap the number of programs run and the energy charged; running out
 is not an error, the trace just reports budget_exhausted.
+
+A class is addressed by rank (see reachcalc._core_py): the target-prefix
+walk finds its hits directly, and the misses between them are counted, not
+run.  A search therefore costs its hits, not the programs it reports as
+run, and the trace rebuilds the programs only when `steps` asks for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
-from . import _core_py
+from . import _core_py  # reachbench/layers.py wraps search._core_py
 from .entropy import entropy_to_work
 from .errors import DomainError, InvalidPolicy
 from .lambertw import BranchChoice
@@ -36,7 +43,7 @@ from .machine import (
     Problem,
     Program,
     _as_problem,
-    iter_valid_programs,
+    iter_valid_programs,  # reachbench/layers.py wraps search.iter_valid_programs
     literal_program,
 )
 from .reachability import reach_from_variation
@@ -58,24 +65,48 @@ class Budget:
     energy: float = math.inf
 
     def __post_init__(self):
+        if isinstance(self.programs, bool) or not isinstance(self.programs, int):
+            raise DomainError(f"program budget must be an int, got {self.programs!r}")
         if self.programs < 1:
             raise DomainError(f"program budget must be >= 1, got {self.programs!r}")
         if not self.energy > 0.0 or math.isnan(self.energy):
             raise DomainError(f"energy budget must be > 0 J, got {self.energy!r}")
 
 
+#: One class's share of a search, (n_opcodes, count, hit_ranks): the first
+#: `count` programs of the class in rank order ran, and hit_ranks hit.
+#: A search scans each class at most once, always from its first program.
+Segment = tuple[int, int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class SearchTrace:
-    """What a search did: every program run, in order, and what it cost."""
+    """What a search did: the programs it ran, in order, and what it cost.
+
+    The trace keeps one segment per class scanned, with the ranks of its
+    hits; `steps` and `iter_steps` rebuild the programs run from them on
+    demand, so a trace costs its hits, not its programs.
+    """
 
     policy: SearchPolicy
-    steps: tuple[tuple[str, str], ...]  # (program bits, "hit" | "miss")
+    segments: tuple[Segment, ...]
     programs_run: int
     energy_charged: float
     bits_reduced: int
     best_found: Program | None
     temperature: float
     budget_exhausted: bool
+
+    def iter_steps(self) -> Iterator[tuple[str, str]]:
+        """Yield (program bits, "hit" | "miss") for every program run, in order."""
+        for n_opcodes, count, hit_ranks in self.segments:
+            hits = set(hit_ranks)
+            for rank, bits in enumerate(islice(iter_valid_programs(n_opcodes), count)):
+                yield bits, "hit" if rank in hits else "miss"
+
+    @property
+    def steps(self) -> tuple[tuple[str, str], ...]:
+        return tuple(self.iter_steps())
 
 
 class _Session:
@@ -88,20 +119,34 @@ class _Session:
         self.temperature = temperature
         self.max_steps = max_steps
         self.max_output_bits = max_output_bits
-        self.steps: list[tuple[str, str]] = []
+        self.segments: list[Segment] = []
+        self.programs_run = 0
         self.best: Program | None = None
         self.bits_reduced = 0
         self.budget_exhausted = False
 
-    def out_of_programs(self) -> bool:
-        return len(self.steps) >= self.budget.programs
+    def scan(self, size: int, until_hit: bool) -> Program | None:
+        """Run the programs of `size` bits in lex order; return the first hit.
 
-    def run_one(self, bits: str) -> bool:
-        """Run a candidate, record the step, and report whether it hit."""
-        status, out = _core_py.run_bits(bits, self.max_steps, self.max_output_bits)
-        hit = status == _core_py.OK and out == self.problem.target
-        self.steps.append((bits, "hit" if hit else "miss"))
-        return hit
+        The scan stops after the first hit when until_hit is set, else at the
+        end of the class; in both cases at the end of the program budget,
+        which then counts as exhausted if the class had programs left.  The
+        hits come from the target-prefix walk; the misses are only counted.
+        """
+        n_opcodes = size // 2
+        end = 3 ** (n_opcodes - 1)
+        count = min(end, self.budget.programs - self.programs_run)
+        hits = _core_py.class_hit_ranks(
+            n_opcodes, self.problem.target, self.max_steps, self.max_output_bits, count
+        )
+        if until_hit and hits:
+            count, hits = hits[0] + 1, hits[:1]
+        elif count < end:
+            self.budget_exhausted = True
+        if count:
+            self.segments.append((n_opcodes, count, tuple(hits)))
+            self.programs_run += count
+        return Program(_core_py.rank_bits(n_opcodes, hits[0])) if hits else None
 
     def try_accept(self, candidate: Program) -> bool:
         """Adopt a hit as the new best, charging for any size reduction.
@@ -125,8 +170,8 @@ class _Session:
     def finish(self, policy: SearchPolicy) -> SearchTrace:
         return SearchTrace(
             policy=policy,
-            steps=tuple(self.steps),
-            programs_run=len(self.steps),
+            segments=tuple(self.segments),
+            programs_run=self.programs_run,
             energy_charged=entropy_to_work(self.bits_reduced, self.temperature),
             bits_reduced=self.bits_reduced,
             best_found=self.best,
@@ -135,34 +180,18 @@ class _Session:
         )
 
 
-def _scan_class_until_hit(session: _Session, size: int) -> Program | None:
-    """Run a size class in lex order, stopping at the first hit."""
-    for bits in iter_valid_programs(size // 2):
-        if session.out_of_programs():
-            session.budget_exhausted = True
-            return None
-        if session.run_one(bits):
-            return Program(bits)
-    return None
-
-
 def _exhaustive_by_size(session: _Session, start: int) -> None:
-    for bits in iter_valid_programs(start // 2):
-        if session.out_of_programs():
-            session.budget_exhausted = True
-            return
-        if session.run_one(bits) and session.best is None:
-            session.best = Program(bits)
+    session.best = session.scan(start, until_hit=False)
 
 
 def _size_descending(session: _Session, start: int) -> None:
-    first = _scan_class_until_hit(session, start)
+    first = session.scan(start, until_hit=True)
     if first is None:
         return
     session.best = first
     size = first.length - 2
     while size >= 2 and not session.budget_exhausted:
-        hit = _scan_class_until_hit(session, size)
+        hit = session.scan(size, until_hit=True)
         if hit is None:
             return  # nothing left at this size: the best is minimal
         if not session.try_accept(hit):
@@ -180,33 +209,25 @@ def _greedy_priority(size: int, found_weight: float) -> float:
 
 
 def _reachability_greedy(session: _Session, max_len: int) -> None:
-    cursors = {
-        size: iter_valid_programs(size // 2) for size in range(2, max_len + 2, 2)
-    }
+    sizes = set(range(2, max_len + 2, 2))
     found_weight = 0.0
-    while cursors and not session.budget_exhausted:
+    while sizes and not session.budget_exhausted:
         if session.best is not None:
-            cursors = {s: it for s, it in cursors.items() if s < session.best.length}
-            if not cursors:
+            sizes = {s for s in sizes if s < session.best.length}
+            if not sizes:
                 return
         if found_weight > 0.0:
-            ranked = sorted(cursors, key=lambda s: (-_greedy_priority(s, found_weight), s))
+            size = min(sizes, key=lambda s: (-_greedy_priority(s, found_weight), s))
         else:
-            ranked = sorted(cursors)
-        size = ranked[0]
-        # Drain the chosen class until it hits, empties, or the budget ends;
-        # priorities only change when the found set changes.
-        for bits in cursors[size]:
-            if session.out_of_programs():
-                session.budget_exhausted = True
+            size = min(sizes)
+        # Drain the chosen class until it hits, empties, or the budget ends.
+        # Either way it is done with: a hit leaves only smaller classes.
+        sizes.remove(size)
+        hit = session.scan(size, until_hit=True)
+        if hit is not None:
+            found_weight += 2.0**-size
+            if not session.try_accept(hit):
                 return
-            if session.run_one(bits):
-                found_weight += 2.0 ** -len(bits)
-                if not session.try_accept(Program(bits)):
-                    return
-                break
-        else:
-            del cursors[size]
 
 
 def demiurge_search(

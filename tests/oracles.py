@@ -9,6 +9,7 @@ not.
 from __future__ import annotations
 
 import math
+from itertools import islice, product
 
 
 def bisect_w(x: float, lower: bool = False, iterations: int = 120) -> float:
@@ -107,3 +108,110 @@ def oracle_solutions(max_len: int) -> dict[str, list[str]]:
             if out is not None:
                 table.setdefault(out, []).append(bits)
     return table
+
+
+
+def _class_programs(n_opcodes: int):
+    """Every program of n_opcodes opcodes, in lexicographic bit order."""
+    for body in product(("00", "01", "10"), repeat=n_opcodes - 1):
+        yield "".join(body) + "11"
+
+
+def oracle_search(
+    target: str,
+    policy: str,
+    programs: int,
+    energy: float = math.inf,
+    *,
+    temperature: float = 300.0,
+    start_length: int | None = None,
+    max_len: int = 24,
+    max_steps: int = 10_000,
+    max_output_bits: int = 64,
+) -> dict:
+    """Demiurge search that runs every candidate it counts through oracle_run.
+
+    policy is "exhaustive", "descending" or "greedy"; programs and energy are
+    the budget.  Returns the fields of a SearchTrace as a dict, best_found as
+    bits or None.  Energy is k T ln2 per bit saved, with the package's k; the
+    greedy ranking inverts the variation by bisection (plogp_root).
+    """
+    unit = 1.38065e-23 * temperature * math.log(2.0)
+    steps: list[tuple[str, str]] = []
+    state = {"best": None, "bits_reduced": 0, "exhausted": False}
+
+    def run_class(size: int, index: int, until_hit: bool) -> tuple[str | None, int]:
+        """Run a class from its index-th program on; (first hit, next index)."""
+        first = None
+        for bits in islice(_class_programs(size // 2), index, None):
+            if len(steps) >= programs:
+                state["exhausted"] = True
+                break
+            hit = oracle_run(bits, max_steps, max_output_bits) == target
+            steps.append((bits, "hit" if hit else "miss"))
+            index += 1
+            if hit and first is None:
+                first = bits
+                if until_hit:
+                    break
+        return first, index
+
+    def accept(bits: str) -> bool:
+        if state["best"] is None:
+            state["best"] = bits
+            return True
+        saved = len(state["best"]) - len(bits)
+        if saved <= 0:
+            return True
+        if unit * (state["bits_reduced"] + saved) > energy:
+            state["exhausted"] = True
+            return False
+        state["bits_reduced"] += saved
+        state["best"] = bits
+        return True
+
+    start = start_length if start_length is not None else 2 * len(target) + 2
+    if policy == "exhaustive":
+        state["best"], _ = run_class(start, 0, until_hit=False)
+    elif policy == "descending":
+        size = start
+        while size >= 2 and not state["exhausted"]:
+            hit, _ = run_class(size, 0, until_hit=True)
+            if hit is None or not accept(hit):
+                break
+            size = len(hit) - 2
+    else:
+        cursors = {size: 0 for size in range(2, max_len + 2, 2)}
+        found_weight = 0.0
+
+        def priority(size: int) -> float:
+            w = 2.0**-size
+            p = w / (found_weight + w)
+            return plogp_root(-p * math.log2(p), lower=True)
+
+        while cursors and not state["exhausted"]:
+            if state["best"] is not None:
+                cursors = {s: c for s, c in cursors.items() if s < len(state["best"])}
+                if not cursors:
+                    break
+            if found_weight > 0.0:
+                size = min(cursors, key=lambda s: (-priority(s), s))
+            else:
+                size = min(cursors)
+            hit, cursors[size] = run_class(size, cursors[size], until_hit=True)
+            if state["exhausted"]:
+                break
+            if hit is None:
+                del cursors[size]
+            else:
+                found_weight += 2.0**-size
+                if not accept(hit):
+                    break
+    return {
+        "steps": tuple(steps),
+        "programs_run": len(steps),
+        "best_found": state["best"],
+        "bits_reduced": state["bits_reduced"],
+        "energy_charged": unit * state["bits_reduced"],
+        "budget_exhausted": state["exhausted"],
+    }

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,33 @@ def test_scan_length_class_pinned():
     assert _core_py.scan_length_class(5, "01010101", 64) == ["0001101011"]
     assert _core_py.scan_length_class(1, "", 64) == ["11"]
     assert _core_py.scan_length_class(1, "0", 64) == []
+
+
+def test_class_hit_ranks_match_the_brute_force_scan():
+    """The target-prefix walk against scan_length_class, ranks mapped to bits
+    by position in the class's product order; every target of <= 6 bits."""
+    for n in range(1, 9):
+        programs = ["".join(body) + "11" for body in product(("00", "01", "10"), repeat=n - 1)]
+        if n <= 5:
+            assert [_core_py.rank_bits(n, r) for r in range(len(programs))] == programs
+        for size in range(7):
+            for target in map("".join, product("01", repeat=size)):
+                brute = _core_py.scan_length_class(n, target, 64)
+                ranks = _core_py.class_hit_ranks(n, target, 10_000, 64)
+                assert [programs[r] for r in ranks] == brute, (n, target)
+                for hit in ranks:
+                    for stop in (hit - 1, hit, hit + 1):
+                        assert _core_py.class_hit_ranks(n, target, 10_000, 64, stop) == [
+                            r for r in ranks if r < stop
+                        ]
+                assert _core_py.class_hit_ranks(n, target, 10_000, 64, 0) == []
+                assert _core_py.class_hit_ranks(n, target, 10_000, 64, len(programs)) == ranks
+                # The caps: n steps and len(target) output bits are just enough.
+                assert _core_py.class_hit_ranks(n, target, n, size) == ranks
+                assert _core_py.class_hit_ranks(n, target, n - 1, 64) == []
+                if size:
+                    assert _core_py.scan_length_class(n, target, size - 1) == []
+                    assert _core_py.class_hit_ranks(n, target, 10_000, size - 1) == []
 
 
 def test_enumerate_target_wider_than_64_bits():

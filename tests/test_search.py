@@ -11,6 +11,8 @@ from reachcalc.errors import DomainError, InvalidPolicy
 from reachcalc.machine import kolmogorov_upper, run
 from reachcalc.search import Budget, SearchPolicy, SearchTrace, demiurge_search
 
+import oracles
+
 target_bits = st.text(alphabet="01", min_size=0, max_size=4)
 
 
@@ -171,6 +173,12 @@ def test_budget_validation():
     assert Budget().energy == math.inf
 
 
+@pytest.mark.parametrize("programs", [2.5, 3.0, True, "3", None])
+def test_budget_programs_must_be_an_int(programs):
+    with pytest.raises(DomainError):
+        Budget(programs=programs)
+
+
 # ------------------------------------------------------------------ plumbing
 
 
@@ -207,3 +215,62 @@ def test_trace_is_a_complete_record():
     for bits, outcome in trace.steps:
         assert outcome in ("hit", "miss")
         assert (run(bits) == "00") == (outcome == "hit")
+
+
+# ------------------------------------------------------- against the oracle
+
+_POLICY_NAMES = {
+    SearchPolicy.EXHAUSTIVE_BY_SIZE: "exhaustive",
+    SearchPolicy.SIZE_DESCENDING: "descending",
+    SearchPolicy.REACHABILITY_GREEDY: "greedy",
+}
+# Class sizes are powers of 3, so budgets at 3^k - 1, 3^k and 3^k + 1 end a
+# run just before, at and just after the end of a class.
+_EDGE_BUDGETS = [1] + [3**k + d for k in range(1, 7) for d in (-1, 0, 1) if 3**k + d > 0]
+
+
+@given(
+    rho=st.text(alphabet="01", max_size=5),
+    policy=st.sampled_from(list(SearchPolicy)),
+    programs=st.one_of(st.sampled_from(_EDGE_BUDGETS), st.integers(1, 800)),
+    energy_bits=st.sampled_from([math.inf, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
+    start_length=st.one_of(st.none(), st.integers(1, 6).map(lambda k: 2 * k)),
+    max_len=st.integers(1, 7).map(lambda k: 2 * k),
+)
+@settings(max_examples=300, deadline=None)
+def test_search_matches_the_run_every_candidate_oracle(
+    rho, policy, programs, energy_bits, start_length, max_len
+):
+    energy = math.inf if energy_bits == math.inf else entropy_to_work(energy_bits, 300.0)
+    trace = demiurge_search(rho, policy, Budget(programs=programs, energy=energy),
+                            start_length=start_length, max_len=max_len)
+    want = oracles.oracle_search(rho, _POLICY_NAMES[policy], programs, energy,
+                                 start_length=start_length, max_len=max_len)
+    assert trace.steps == want["steps"]
+    assert trace.programs_run == want["programs_run"]
+    assert (trace.best_found.bits if trace.best_found else None) == want["best_found"]
+    assert trace.bits_reduced == want["bits_reduced"]
+    assert trace.energy_charged == want["energy_charged"]
+    assert trace.budget_exhausted == want["budget_exhausted"]
+
+
+def test_exhaustive_budget_cut_inside_a_class_with_a_later_hit():
+    """'0' at start length 6: the class's only hit is its 7th program, so a
+    budget of 6 runs out before it and one of 7 ends on it."""
+    short = demiurge_search("0", SearchPolicy.EXHAUSTIVE_BY_SIZE, Budget(programs=6),
+                            start_length=6)
+    assert short.budget_exhausted and short.best_found is None
+    assert short.programs_run == 6
+    ends = demiurge_search("0", SearchPolicy.EXHAUSTIVE_BY_SIZE, Budget(programs=7),
+                           start_length=6)
+    assert ends.budget_exhausted and ends.best_found.bits == "100011"
+    assert ends.steps[-1] == ("100011", "hit")
+
+
+def test_huge_budget_costs_hits_not_candidates():
+    """3^16 programs: the whole 34-bit class of '0'*16, counted, not run."""
+    trace = demiurge_search("0" * 16, SearchPolicy.EXHAUSTIVE_BY_SIZE, Budget(programs=3**16))
+    assert trace.programs_run == 3**16
+    assert not trace.budget_exhausted
+    assert trace.best_found.bits == "00" * 16 + "11"  # rank 0 of its class
+    assert run(trace.best_found) == "0" * 16
