@@ -15,18 +15,8 @@ import warnings
 from collections.abc import Iterable
 
 from . import __version__
-from .entropy import VARIATION_MAX, entropy_to_work
-from .errors import (
-    ConvergenceError,
-    DegenerateSetWarning,
-    DomainError,
-    EmptySetError,
-    InvalidDistribution,
-    InvalidPolicy,
-    InvalidProgram,
-    ReachcalcError,
-    ResourceExceeded,
-)
+from .entropy import entropy_to_work
+from .errors import DegenerateSetWarning, InvalidPolicy, ReachcalcError, ResourceExceeded
 from .formats import (
     REPORT_KEYS,
     SOLUTION_KEYS,
@@ -37,7 +27,7 @@ from .formats import (
     records_text,
     table_text,
 )
-from .lambertw import BRANCH_POINT, BranchChoice, eval_w, solve_xlog, w_curve
+from .lambertw import BranchChoice, eval_w, w_curve
 from .loss import convexity_certificate, matching_loss
 from .machine import (
     CORE_BACKEND,
@@ -76,14 +66,26 @@ def _emit(rows: Iterable[dict], keys: tuple[str, ...], fmt: str) -> None:
         sys.stdout.write(table_text(rows, keys))
 
 
+def _write_fields(fields: list[tuple[str, object]]) -> None:
+    for k, v in fields:
+        sys.stdout.write(f"{k}: {format_value(v)}\n")
+
+
 def _scalar(fields: list[tuple[str, object]], fmt: str) -> None:
-    row = dict(fields)
-    keys = tuple(k for k, _ in fields)
     if fmt == "table":
-        for k, v in fields:
-            sys.stdout.write(f"{k}: {format_value(v)}\n")
+        _write_fields(fields)
     else:
-        _emit([row], keys, fmt)
+        _emit([dict(fields)], tuple(k for k, _ in fields), fmt)
+
+
+def _curve(curve: list[str]) -> tuple[float, float, int]:
+    lo, hi, n = curve
+    try:
+        return float(lo), float(hi), int(n)
+    except ValueError:
+        raise _UsageError(
+            f"--curve needs numbers LO HI and an integer N, got {' '.join(curve)}"
+        ) from None
 
 
 def _target_from(args) -> str:
@@ -105,13 +107,13 @@ def _add_target(sub) -> None:
 def _cmd_lambertw(args) -> int:
     branch = _BRANCHES[args.branch]
     if args.curve:
-        lo, hi, n = float(args.curve[0]), float(args.curve[1]), int(args.curve[2])
+        lo, hi, n = _curve(args.curve)
         rows = [{"x": x, "w": w} for x, w in w_curve(lo, hi, n, branch)]
         _emit(rows, ("x", "w"), args.format)
         return 0
     if args.x is None:
         raise _UsageError("lambertw needs an argument x or --curve lo hi n")
-    ev = eval_w(float(args.x), branch)
+    ev = eval_w(args.x, branch)
     _scalar(
         [
             ("x", ev.argument),
@@ -128,7 +130,7 @@ def _cmd_lambertw(args) -> int:
 def _cmd_reach(args) -> int:
     branch = _BRANCHES[args.branch]
     if args.curve:
-        lo, hi, n = float(args.curve[0]), float(args.curve[1]), int(args.curve[2])
+        lo, hi, n = _curve(args.curve)
         rows = [{"variation": h, "reachability": p} for h, p in reach_curve(lo, hi, n, branch)]
         _emit(rows, ("variation", "reachability"), args.format)
         return 0
@@ -169,8 +171,7 @@ def _cmd_solve(args) -> int:
         ("witness", first.bits if first else "none"),
     ]
     if args.format == "table":
-        for k, v in header:
-            sys.stdout.write(f"{k}: {format_value(v)}\n")
+        _write_fields(header)
     rows = [
         {"program": prog.bits, "length": prog.length, "p": solutions.weights[i]}
         for i, prog in enumerate(solutions.programs)
@@ -199,6 +200,7 @@ def _cmd_report(args) -> int:
             "variation": r.variation,
             "reachability": r.reachability,
             "energy": r.energy,
+            "normalized": r.normalized,
         }
         for r in records
     ]
@@ -207,8 +209,7 @@ def _cmd_report(args) -> int:
             f"target: {target!r}  branch: {args.branch}  scheme: {args.scheme}  "
             f"T: {format_value(args.temp)} K\n"
         )
-        table_rows = [dict(row, normalized=r.normalized) for row, r in zip(rows, records)]
-        _emit(table_rows, REPORT_KEYS + ("normalized",), "table")
+        _emit(rows, REPORT_KEYS + ("normalized",), "table")
     else:
         _emit(rows, REPORT_KEYS, args.format)
     for w in caught:
@@ -239,8 +240,7 @@ def _cmd_search(args) -> int:
         ("budget_exhausted", trace.budget_exhausted),
     ]
     if args.format == "table":
-        for k, v in summary:
-            sys.stdout.write(f"{k}: {format_value(v)}\n")
+        _write_fields(summary)
         return 0
     rows = (
         {"program": bits, "length": len(bits), "outcome": outcome}
@@ -267,7 +267,7 @@ def _cmd_loss(args) -> int:
         return 0 if cert.ok else _EXIT_DOMAIN
     if args.z_hat is None or args.z is None:
         raise _UsageError("loss needs z_hat and z (or --convexity-grid)")
-    ev = matching_loss(float(args.z_hat), float(args.z))
+    ev = matching_loss(args.z_hat, args.z)
     _scalar(
         [
             ("z_hat", ev.z_hat),
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"program length cap (default {DEFAULT_MAX_LEN})")
 
     p = sub.add_parser("lambertw", help="evaluate a real branch of the Lambert W function")
-    p.add_argument("x", nargs="?", default=None, help="argument")
+    p.add_argument("x", nargs="?", type=float, default=None, help="argument")
     p.add_argument("--curve", nargs=3, metavar=("LO", "HI", "N"),
                    help="emit N sampled (x, W) pairs on [LO, HI]")
     common(p)
@@ -365,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("loss", help="matching loss of the convex link exp(-W(z))")
-    p.add_argument("z_hat", nargs="?", default=None, help="prediction")
-    p.add_argument("z", nargs="?", default=None, help="target")
+    p.add_argument("z_hat", nargs="?", type=float, default=None, help="prediction")
+    p.add_argument("z", nargs="?", type=float, default=None, help="target")
     p.add_argument("--convexity-grid", action="store_true",
                    help="run the numerical convexity certificate instead")
     common(p, branch=False)
@@ -383,22 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE
-    except InvalidPolicy as exc:
+    except ReachcalcError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return _EXIT_USAGE
-    except ResourceExceeded as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return _EXIT_RESOURCE
-    except (
-        DomainError,
-        ConvergenceError,
-        InvalidDistribution,
-        InvalidProgram,
-        EmptySetError,
-        ReachcalcError,
-    ) as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return _EXIT_DOMAIN
+        if isinstance(exc, InvalidPolicy):
+            return _EXIT_USAGE
+        return _EXIT_RESOURCE if isinstance(exc, ResourceExceeded) else _EXIT_DOMAIN
     except OSError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return _EXIT_USAGE

@@ -222,6 +222,23 @@ def _check_enum_budget(max_len: int, budget: int) -> None:
         )
 
 
+def _class_hits(
+    problem: Problem, max_len: int, budget: int, max_steps: int, max_output_bits: int
+) -> Iterator[list[str]]:
+    """Each length class's solutions of problem, shortest class first.
+
+    The limits are checked when iteration starts.  It stops before classes
+    of more than max_steps opcodes, and yields nothing for a target over the
+    output cap.
+    """
+    _check_limits(max_steps, max_output_bits)
+    _check_enum_budget(max_len, budget)
+    if problem.length > max_output_bits:
+        return
+    for n_opcodes in range(1, min(max_len // 2, max_steps) + 1):
+        yield _core_py.scan_length_class(n_opcodes, problem.target, max_output_bits)
+
+
 def enumerate_solutions(
     rho: Problem | str,
     max_len: int = DEFAULT_MAX_LEN,
@@ -238,15 +255,11 @@ def enumerate_solutions(
     exceeds the enumeration budget.
     """
     problem = _as_problem(rho)
-    _check_limits(max_steps, max_output_bits)
-    _check_enum_budget(max_len, budget)
-    hits: list[str] = []
-    if problem.length <= max_output_bits:
-        for n_opcodes in range(1, max_len // 2 + 1):
-            if n_opcodes > max_steps:
-                break
-            hits.extend(_core_py.scan_length_class(n_opcodes, problem.target, max_output_bits))
-    programs = tuple(Program(b) for b in hits)
+    programs = tuple(
+        Program(bits)
+        for hits in _class_hits(problem, max_len, budget, max_steps, max_output_bits)
+        for bits in hits
+    )
     weights = _distribution_for(programs, scheme) if programs else None
     return SolutionSet(problem, programs, weights, scheme)
 
@@ -265,16 +278,10 @@ def kolmogorov_upper(
     solution exists within the cap.
     """
     problem = _as_problem(rho)
-    _check_limits(max_steps, max_output_bits)
-    _check_enum_budget(max_len, budget)
-    if problem.length > max_output_bits:
-        return None
-    for n_opcodes in range(1, max_len // 2 + 1):
-        if n_opcodes > max_steps:
-            break
-        hits = _core_py.scan_length_class(n_opcodes, problem.target, max_output_bits)
+    for hits in _class_hits(problem, max_len, budget, max_steps, max_output_bits):
         if hits:
-            return ComplexityBound(2 * n_opcodes, Program(hits[0]))
+            witness = Program(hits[0])
+            return ComplexityBound(witness.length, witness)
     return None
 
 

@@ -7,13 +7,12 @@ Three deterministic policies over the toy machine's size classes:
 * SizeDescending starts from a first found solution (default: the literal
   program, the transcription every problem carries with it) and re-scans
   the classes s-2, s-4, ... until a class yields nothing, at which point no
-  smaller solution exists.  Each accepted size reduction is charged
-  k T ln2 joules per bit erased.
-* ReachabilityGreedy keeps a frontier of size classes ranked by the
-  lower-branch reachability a hypothetical solution of that size would
-  have against the solutions found so far (length-weighted), expands the
-  best class first, and once any solution is known restricts itself to
-  strictly smaller classes.
+  smaller solution exists.  Each step down saves exactly 2 bits and is
+  charged k T ln2 joules per bit erased.
+* ReachabilityGreedy scans the classes 2, 4, ..., max_len in ascending
+  size and stops at the first hit, the order of Levin search: every
+  smaller class is already drained by then, so the first solution found
+  is a shortest one and there is nothing left to rank.
 
 Budgets cap the number of programs run and the energy charged; running out
 is not an error, the trace just reports budget_exhausted.
@@ -35,7 +34,6 @@ from itertools import islice
 from . import _core_py  # reachbench/layers.py wraps search._core_py
 from .entropy import entropy_to_work
 from .errors import DomainError, InvalidPolicy
-from .lambertw import BranchChoice
 from .machine import (
     DEFAULT_MAX_LEN,
     DEFAULT_MAX_OUTPUT_BITS,
@@ -46,7 +44,7 @@ from .machine import (
     iter_valid_programs,  # reachbench/layers.py wraps search.iter_valid_programs
     literal_program,
 )
-from .reachability import reach_from_variation
+from .reachability import reach_from_variation  # unused; reachbench/layers.py wraps it here
 
 __all__ = ["SearchPolicy", "Budget", "SearchTrace", "demiurge_search"]
 
@@ -148,25 +146,6 @@ class _Session:
             self.programs_run += count
         return Program(_core_py.rank_bits(n_opcodes, hits[0])) if hits else None
 
-    def try_accept(self, candidate: Program) -> bool:
-        """Adopt a hit as the new best, charging for any size reduction.
-
-        Returns False (and stops the search) when the energy budget cannot
-        cover the reduction.
-        """
-        if self.best is None:
-            self.best = candidate
-            return True
-        saved = self.best.length - candidate.length
-        if saved <= 0:
-            return True
-        if entropy_to_work(self.bits_reduced + saved, self.temperature) > self.budget.energy:
-            self.budget_exhausted = True
-            return False
-        self.bits_reduced += saved
-        self.best = candidate
-        return True
-
     def finish(self, policy: SearchPolicy) -> SearchTrace:
         return SearchTrace(
             policy=policy,
@@ -185,49 +164,23 @@ def _exhaustive_by_size(session: _Session, start: int) -> None:
 
 
 def _size_descending(session: _Session, start: int) -> None:
-    first = session.scan(start, until_hit=True)
-    if first is None:
-        return
-    session.best = first
-    size = first.length - 2
-    while size >= 2 and not session.budget_exhausted:
-        hit = session.scan(size, until_hit=True)
+    session.best = session.scan(start, until_hit=True)
+    while session.best is not None and session.best.length > 2:
+        hit = session.scan(session.best.length - 2, until_hit=True)
         if hit is None:
             return  # nothing left at this size: the best is minimal
-        if not session.try_accept(hit):
+        if entropy_to_work(session.bits_reduced + 2, session.temperature) > session.budget.energy:
+            session.budget_exhausted = True
             return
-        size = hit.length - 2
-
-
-def _greedy_priority(size: int, found_weight: float) -> float:
-    # Reachability a new solution of this size would have, length-weighted
-    # against everything found so far.
-    w = 2.0**-size
-    p = w / (found_weight + w)
-    variation = -p * math.log2(p)
-    return reach_from_variation(variation, BranchChoice.LOWER)
+        session.bits_reduced += 2
+        session.best = hit
 
 
 def _reachability_greedy(session: _Session, max_len: int) -> None:
-    sizes = set(range(2, max_len + 2, 2))
-    found_weight = 0.0
-    while sizes and not session.budget_exhausted:
-        if session.best is not None:
-            sizes = {s for s in sizes if s < session.best.length}
-            if not sizes:
-                return
-        if found_weight > 0.0:
-            size = min(sizes, key=lambda s: (-_greedy_priority(s, found_weight), s))
-        else:
-            size = min(sizes)
-        # Drain the chosen class until it hits, empties, or the budget ends.
-        # Either way it is done with: a hit leaves only smaller classes.
-        sizes.remove(size)
-        hit = session.scan(size, until_hit=True)
-        if hit is not None:
-            found_weight += 2.0**-size
-            if not session.try_accept(hit):
-                return
+    for size in range(2, max_len + 2, 2):
+        session.best = session.scan(size, until_hit=True)
+        if session.best is not None or session.budget_exhausted:
+            return
 
 
 def demiurge_search(

@@ -311,6 +311,23 @@ def test_loss_needs_two_arguments(capsys):
 # -------------------------------------------------------------------- plumbing
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lambertw", "abc"),
+        ("loss", "x", "1"),
+        ("lambertw", "--curve", "a", "1", "3"),
+        ("reach", "--curve", "0.1", "0.2", "x"),
+        ("lambertw", "--curve", "0", "1", "2.5"),
+    ],
+)
+def test_non_numeric_argument_is_usage_error(argv, capsys):
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_determinism_byte_for_byte(capsys):
     run_cli("report", "0", "--max-len", "8", "--format", "csv")
     first = capsys.readouterr().out
