@@ -1,8 +1,10 @@
-"""The machine kernel: the interpreter, the length-class scan and the
-target-prefix walk.
+"""The machine kernel: the program encoding, the interpreter, the
+length-class scan and the target-prefix walk.
 
-reachcalc.machine and reachcalc.search call these directly.  Programs
-arriving here are already validated (even length, terminal HALT only).
+This module owns the encoding: the opcode table _OPCODES, HALT and the rank
+order.  reachcalc.machine and reachcalc.search call these directly.
+Programs arriving here are already validated (even length, terminal HALT
+only).
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -11,13 +13,15 @@ is lexicographic bit order.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 
 OK = 0
 STEP_CAP = 1
 OUTPUT_CAP = 2
 
-_OPCODES = ("00", "01", "10")  # emit0, emit1, double; "11" halts
+_OPCODES = ("00", "01", "10")  # emit0, emit1, double, in rank order
+HALT = "11"
 
 
 def run_bits(bits: str, max_steps: int, max_output_bits: int) -> tuple[int, str | None]:
@@ -42,7 +46,7 @@ def run_bits(bits: str, max_steps: int, max_output_bits: int) -> tuple[int, str 
                 if 2 * len(out) > max_output_bits:
                     return OUTPUT_CAP, None
                 out.extend(out)
-        else:  # "11"
+        else:  # HALT
             break
     return OK, "".join(out)
 
@@ -57,11 +61,19 @@ def scan_length_class(n_opcodes: int, target: str, max_output_bits: int) -> list
         return []
     hits: list[str] = []
     for body in product(_OPCODES, repeat=n_opcodes - 1):
-        bits = "".join(body) + "11"
+        bits = "".join(body) + HALT
         status, out = run_bits(bits, n_opcodes, max_output_bits)
         if status == OK and out == target:
             hits.append(bits)
     return hits
+
+
+def iter_valid_programs(n_opcodes: int) -> Iterator[str]:
+    """Yield every valid program with exactly n_opcodes opcodes, lex order."""
+    if n_opcodes < 1:
+        return
+    for body in product(_OPCODES, repeat=n_opcodes - 1):
+        yield "".join(body) + HALT
 
 
 def rank_bits(n_opcodes: int, rank: int) -> str:
@@ -70,7 +82,7 @@ def rank_bits(n_opcodes: int, rank: int) -> str:
     for _ in range(n_opcodes - 1):
         rank, digit = divmod(rank, 3)
         body.append(_OPCODES[digit])
-    return "".join(reversed(body)) + "11"
+    return "".join(reversed(body)) + HALT
 
 
 def class_hit_ranks(n_opcodes: int, target: str, max_steps: int, max_output_bits: int,

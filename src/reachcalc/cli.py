@@ -15,7 +15,7 @@ import warnings
 from collections.abc import Iterable
 
 from . import __version__
-from .entropy import entropy_to_work
+from .entropy import entropy_to_work, work_to_entropy
 from .errors import DegenerateSetWarning, InvalidPolicy, ReachcalcError, ResourceExceeded
 from .formats import (
     REPORT_KEYS,
@@ -43,9 +43,6 @@ from .search import Budget, demiurge_search
 _EXIT_DOMAIN = 1
 _EXIT_RESOURCE = 2
 _EXIT_USAGE = 3
-
-_BRANCHES = {"lower": BranchChoice.LOWER, "principal": BranchChoice.PRINCIPAL}
-_SCHEMES = {"uniform": Scheme.UNIFORM, "lengthweighted": Scheme.LENGTH_WEIGHTED}
 
 
 class _UsageError(Exception):
@@ -105,7 +102,7 @@ def _add_target(sub) -> None:
 
 
 def _cmd_lambertw(args) -> int:
-    branch = _BRANCHES[args.branch]
+    branch = BranchChoice(args.branch)
     if args.curve:
         lo, hi, n = _curve(args.curve)
         rows = [{"x": x, "w": w} for x, w in w_curve(lo, hi, n, branch)]
@@ -128,7 +125,7 @@ def _cmd_lambertw(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    branch = _BRANCHES[args.branch]
+    branch = BranchChoice(args.branch)
     if args.curve:
         lo, hi, n = _curve(args.curve)
         rows = [{"variation": h, "reachability": p} for h, p in reach_curve(lo, hi, n, branch)]
@@ -143,7 +140,7 @@ def _cmd_reach(args) -> int:
     else:
         p = reach_from_energy(args.energy, args.temp, branch)
         energy = args.energy
-        h = energy / entropy_to_work(1.0, args.temp)
+        h = work_to_entropy(energy, args.temp)
     _scalar(
         [
             ("variation", h),
@@ -159,7 +156,7 @@ def _cmd_reach(args) -> int:
 
 def _cmd_solve(args) -> int:
     target = _target_from(args)
-    solutions = enumerate_solutions(target, args.max_len, scheme=_SCHEMES[args.scheme])
+    solutions = enumerate_solutions(target, args.max_len, scheme=Scheme(args.scheme))
     # Programs come in (length, lex) order, so the first is the shortest
     # solution with kolmogorov_upper's tie-break.
     first = solutions.programs[0] if solutions.programs else None
@@ -188,9 +185,9 @@ def _cmd_report(args) -> int:
         records = reachability_report(
             target,
             args.max_len,
-            scheme=_SCHEMES[args.scheme],
+            scheme=Scheme(args.scheme),
             temperature=args.temp,
-            branch=_BRANCHES[args.branch],
+            branch=BranchChoice(args.branch),
         )
     rows = [
         {

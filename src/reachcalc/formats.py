@@ -49,7 +49,9 @@ def records_text(rows: Iterable[dict], keys: tuple[str, ...]) -> str:
     lines = [
         " ".join(f"{k}={format_value(row[k])}" for k in keys) for row in rows
     ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    if lines:
+        lines.append("")  # the join then ends the last line: no second copy
+    return "\n".join(lines)
 
 
 def csv_text(rows: Iterable[dict], keys: tuple[str, ...]) -> str:

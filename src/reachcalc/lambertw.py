@@ -97,9 +97,10 @@ def _initial_guess(x: float, branch: BranchChoice) -> float:
 def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluation:
     """Evaluate the chosen real branch of W at x.
 
-    Raises DomainError for x < -1/e (both branches) and for x >= 0 on the
-    lower branch; raises ConvergenceError if the residual tolerance cannot
-    be met within the iteration cap (not expected for in-domain input).
+    Raises DomainError for x < -1/e and x = inf (both branches) and for
+    x >= 0 on the lower branch; raises ConvergenceError if the residual
+    tolerance cannot be met within the iteration cap (not expected for
+    in-domain input).
     """
     if not isinstance(branch, BranchChoice):
         raise DomainError(f"branch must be a BranchChoice, got {branch!r}")
@@ -109,6 +110,8 @@ def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluati
         raise DomainError(f"W(x) has no real value for x = {x!r} < -1/e")
     if branch is BranchChoice.LOWER and x >= 0.0:
         raise DomainError(f"the lower branch is only defined on [-1/e, 0), got x = {x!r}")
+    if x == math.inf:
+        raise DomainError("W is evaluated only at finite x, got x = inf")
 
     if branch is BranchChoice.PRINCIPAL and x == 0.0:
         return WEvaluation(x, 0.0, branch, 0.0, 0)
@@ -147,7 +150,7 @@ def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluati
             f"W residual {residual:.3e} above tolerance after {iterations} iterations "
             f"at x = {x!r} ({branch.value} branch)"
         )
-    return WEvaluation(x, w, branch, residual, 0 if near_branch else iterations)
+    return WEvaluation(x, w, branch, residual, iterations)
 
 
 def solve_xlog(a: float, b: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> float:
@@ -181,12 +184,17 @@ def w_derivative(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> flo
     return w / (x * (1.0 + w))
 
 
-def w_curve(lo: float, hi: float, n: int, branch: BranchChoice) -> list[tuple[float, float]]:
-    """Sample (x, W(x)) at n evenly spaced points on [lo, hi], endpoints exact."""
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points on [lo, hi], endpoints exact; [lo] when n == 1."""
     if n < 1:
         raise DomainError(f"need at least one sample point, got n = {n}")
     if n == 1:
-        return [(lo, eval_w(lo, branch).value)]
+        return [lo]
     xs = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
     xs[-1] = hi
-    return [(x, eval_w(x, branch).value) for x in xs]
+    return xs
+
+
+def w_curve(lo: float, hi: float, n: int, branch: BranchChoice) -> list[tuple[float, float]]:
+    """Sample (x, W(x)) at n evenly spaced points on [lo, hi], endpoints exact."""
+    return [(x, eval_w(x, branch).value) for x in _grid(lo, hi, n)]

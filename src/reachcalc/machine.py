@@ -14,8 +14,13 @@ proper prefix ends in a non-HALT opcode and is therefore itself invalid.
 A "problem" is a target bit string rho; the solution set of rho is every
 valid program up to a length cap whose output equals rho.  Enumeration goes
 by length class, lexicographic within a class.  Programs run, and length
-classes are scanned, on the pure-Python kernel in reachcalc._core_py;
+classes are scanned, on the pure-Python kernel in reachcalc._core_py, which
+also owns the encoding above (the opcode table, HALT and the rank order);
 CORE_BACKEND names it for the `--version` line.
+
+The machine is straight-line: a program of n opcodes runs exactly n steps.
+run takes a step cap; enumeration and search use its default,
+DEFAULT_MAX_STEPS, so they count as solutions only programs run accepts.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Iterator
 
 from . import _core_py
+from ._core_py import HALT, iter_valid_programs
 from .entropy import FiniteDistribution, entropy_to_work
 from .entropy import entropy_variation  # unused; reachbench/layers.py wraps it here
 from .errors import (
@@ -68,8 +73,6 @@ DEFAULT_ENUM_BUDGET = 2**24
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_OUTPUT_BITS = 64
 
-_HALT = "11"
-
 
 class Scheme(Enum):
     """Weighting scheme over a solution set."""
@@ -86,9 +89,9 @@ def _validate_program_bits(bits: str) -> None:
     if set(bits) - {"0", "1"}:
         raise InvalidProgram(f"program must be over {{0,1}}, got {bits!r}")
     opcodes = [bits[i : i + 2] for i in range(0, len(bits), 2)]
-    if opcodes[-1] != _HALT:
-        raise InvalidProgram("program must end with the HALT opcode 11")
-    if _HALT in opcodes[:-1]:
+    if opcodes[-1] != HALT:
+        raise InvalidProgram(f"program must end with the HALT opcode {HALT}")
+    if HALT in opcodes[:-1]:
         raise InvalidProgram("HALT may only appear as the final opcode")
 
 
@@ -201,16 +204,8 @@ def literal_program(rho: Problem | str) -> Program:
     Its length 2*l(rho) + 2 is the universal upper bound on solution size.
     """
     problem = _as_problem(rho)
-    body = "".join("00" if b == "0" else "01" for b in problem.target)
-    return Program(body + _HALT)
-
-
-def iter_valid_programs(n_opcodes: int) -> Iterator[str]:
-    """Yield every valid program with exactly n_opcodes opcodes, lex order."""
-    if n_opcodes < 1:
-        return
-    for body in product(("00", "01", "10"), repeat=n_opcodes - 1):
-        yield "".join(body) + _HALT
+    body = "".join(_core_py._OPCODES[int(b)] for b in problem.target)
+    return Program(body + HALT)
 
 
 def _check_enum_budget(max_len: int, budget: int) -> None:
@@ -223,19 +218,19 @@ def _check_enum_budget(max_len: int, budget: int) -> None:
 
 
 def _class_hits(
-    problem: Problem, max_len: int, budget: int, max_steps: int, max_output_bits: int
+    problem: Problem, max_len: int, budget: int, max_output_bits: int
 ) -> Iterator[list[str]]:
     """Each length class's solutions of problem, shortest class first.
 
     The limits are checked when iteration starts.  It stops before classes
-    of more than max_steps opcodes, and yields nothing for a target over the
-    output cap.
+    of more than DEFAULT_MAX_STEPS opcodes, which run would refuse, and
+    yields nothing for a target over the output cap.
     """
-    _check_limits(max_steps, max_output_bits)
+    _check_limits(DEFAULT_MAX_STEPS, max_output_bits)
     _check_enum_budget(max_len, budget)
     if problem.length > max_output_bits:
         return
-    for n_opcodes in range(1, min(max_len // 2, max_steps) + 1):
+    for n_opcodes in range(1, min(max_len // 2, DEFAULT_MAX_STEPS) + 1):
         yield _core_py.scan_length_class(n_opcodes, problem.target, max_output_bits)
 
 
@@ -245,7 +240,6 @@ def enumerate_solutions(
     *,
     scheme: Scheme = Scheme.LENGTH_WEIGHTED,
     budget: int = DEFAULT_ENUM_BUDGET,
-    max_steps: int = DEFAULT_MAX_STEPS,
     max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> SolutionSet:
     """Every valid program of length <= max_len whose output equals rho.
@@ -257,7 +251,7 @@ def enumerate_solutions(
     problem = _as_problem(rho)
     programs = tuple(
         Program(bits)
-        for hits in _class_hits(problem, max_len, budget, max_steps, max_output_bits)
+        for hits in _class_hits(problem, max_len, budget, max_output_bits)
         for bits in hits
     )
     weights = _distribution_for(programs, scheme) if programs else None
@@ -269,7 +263,6 @@ def kolmogorov_upper(
     max_len: int = DEFAULT_MAX_LEN,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
-    max_steps: int = DEFAULT_MAX_STEPS,
     max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> ComplexityBound | None:
     """Length of the shortest solution of rho within max_len, with witness.
@@ -278,7 +271,7 @@ def kolmogorov_upper(
     solution exists within the cap.
     """
     problem = _as_problem(rho)
-    for hits in _class_hits(problem, max_len, budget, max_steps, max_output_bits):
+    for hits in _class_hits(problem, max_len, budget, max_output_bits):
         if hits:
             witness = Program(hits[0])
             return ComplexityBound(witness.length, witness)
@@ -311,7 +304,6 @@ def reachability_report(
     temperature: float = 300.0,
     branch: BranchChoice = BranchChoice.LOWER,
     budget: int = DEFAULT_ENUM_BUDGET,
-    max_steps: int = DEFAULT_MAX_STEPS,
     max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> list[ReachabilityRecord]:
     """Per-solution reachability records for rho, sorted by descending P.
@@ -323,12 +315,7 @@ def reachability_report(
     its normalized measure is 1 by convention (the only event).
     """
     solutions = enumerate_solutions(
-        rho,
-        max_len,
-        scheme=scheme,
-        budget=budget,
-        max_steps=max_steps,
-        max_output_bits=max_output_bits,
+        rho, max_len, scheme=scheme, budget=budget, max_output_bits=max_output_bits
     )
     if not solutions.programs:
         raise EmptySetError(

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 
 from .entropy import LN2, VARIATION_MAX, _landauer_unit
 from .errors import DegenerateSetWarning, DomainError, EmptySetError
-from .lambertw import BranchChoice, eval_w
+from .lambertw import BranchChoice, _grid, eval_w
 
 __all__ = [
     "VARIATION_MAX",
@@ -144,10 +144,4 @@ def reach_curve(
     lo: float, hi: float, n: int, branch: BranchChoice = BranchChoice.LOWER
 ) -> list[tuple[float, float]]:
     """Sample (variation, reachability) at n evenly spaced points on [lo, hi]."""
-    if n < 1:
-        raise DomainError(f"need at least one sample point, got n = {n}")
-    if n == 1:
-        return [(lo, reach_from_variation(lo, branch))]
-    hs = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    hs[-1] = hi
-    return [(h, reach_from_variation(h, branch)) for h in hs]
+    return [(h, reach_from_variation(h, branch)) for h in _grid(lo, hi, n)]

@@ -32,7 +32,7 @@ from enum import Enum
 from itertools import islice
 
 from . import _core_py  # reachbench/layers.py wraps search._core_py
-from .entropy import entropy_to_work
+from .entropy import _landauer_unit, entropy_to_work
 from .errors import DomainError, InvalidPolicy
 from .machine import (
     DEFAULT_MAX_LEN,
@@ -41,6 +41,7 @@ from .machine import (
     Problem,
     Program,
     _as_problem,
+    _check_limits,
     iter_valid_programs,  # reachbench/layers.py wraps search.iter_valid_programs
     literal_program,
 )
@@ -111,11 +112,10 @@ class _Session:
     """Mutable bookkeeping shared by the policies."""
 
     def __init__(self, problem: Problem, budget: Budget, temperature: float,
-                 max_steps: int, max_output_bits: int):
+                 max_output_bits: int):
         self.problem = problem
         self.budget = budget
         self.temperature = temperature
-        self.max_steps = max_steps
         self.max_output_bits = max_output_bits
         self.segments: list[Segment] = []
         self.programs_run = 0
@@ -135,7 +135,7 @@ class _Session:
         end = 3 ** (n_opcodes - 1)
         count = min(end, self.budget.programs - self.programs_run)
         hits = _core_py.class_hit_ranks(
-            n_opcodes, self.problem.target, self.max_steps, self.max_output_bits, count
+            n_opcodes, self.problem.target, DEFAULT_MAX_STEPS, self.max_output_bits, count
         )
         if until_hit and hits:
             count, hits = hits[0] + 1, hits[:1]
@@ -191,7 +191,6 @@ def demiurge_search(
     temperature: float = 300.0,
     start_length: int | None = None,
     max_len: int = DEFAULT_MAX_LEN,
-    max_steps: int = DEFAULT_MAX_STEPS,
     max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> SearchTrace:
     """Search for a short solution of rho under the given policy and budget.
@@ -211,8 +210,8 @@ def demiurge_search(
         raise InvalidPolicy(f"unknown search policy {policy!r}")
     if budget is None:
         budget = Budget()
-    if not math.isfinite(temperature) or temperature <= 0.0:
-        raise DomainError(f"temperature must be finite and > 0 K, got {temperature!r}")
+    _landauer_unit(temperature)  # validates temperature
+    _check_limits(DEFAULT_MAX_STEPS, max_output_bits)
     if max_len < 2 or max_len % 2:
         raise DomainError(f"max_len must be even and >= 2, got {max_len!r}")
 
@@ -220,7 +219,7 @@ def demiurge_search(
     if start < 2 or start % 2:
         raise DomainError(f"start_length must be even and >= 2, got {start!r}")
 
-    session = _Session(problem, budget, temperature, max_steps, max_output_bits)
+    session = _Session(problem, budget, temperature, max_output_bits)
     if policy is SearchPolicy.EXHAUSTIVE_BY_SIZE:
         _exhaustive_by_size(session, start)
     elif policy is SearchPolicy.SIZE_DESCENDING:

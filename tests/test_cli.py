@@ -17,6 +17,7 @@ import pytest
 
 import reachcalc
 from reachcalc import cli
+from reachcalc.formats import parse_records
 from reachcalc.machine import CORE_BACKEND, kolmogorov_upper
 
 
@@ -168,6 +169,11 @@ def test_solve_missing_file_is_usage(capsys):
     assert run_cli("solve", "--input", "/no/such/file") == 3
 
 
+def test_solve_without_a_target_is_usage(capsys):
+    assert run_cli("solve") == 3
+    assert capsys.readouterr().err.startswith("usage error: missing target")
+
+
 def test_solve_bad_file_contents(tmp_path, capsys):
     path = tmp_path / "t.txt"
     path.write_text("xyz")
@@ -306,6 +312,29 @@ def test_loss_domain_error(capsys):
 
 def test_loss_needs_two_arguments(capsys):
     assert run_cli("loss", "1") == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [("lambertw", "inf", "--branch", "principal"), ("loss", "inf", "0")]
+)
+def test_positive_infinity_is_a_domain_error(argv, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("DomainError:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("reach", "--variation", "0.25", "--format", "records"), "branch", "lower"),
+        (("loss", "--convexity-grid", "--format", "records"), "convex", "true"),
+    ],
+)
+def test_parse_records_keeps_words_as_text(argv, key, value, capsys):
+    assert run_cli(*argv) == 0
+    (row,) = parse_records(capsys.readouterr().out)
+    assert row[key] == value
 
 
 # -------------------------------------------------------------------- plumbing

@@ -92,6 +92,18 @@ def test_domain_errors():
         eval_w(1.0, "principal")  # branch must be the enum
 
 
+def test_positive_infinity_is_a_domain_error():
+    # W(inf) is not a float; the Halley loop must not be reached with it.
+    with pytest.raises(DomainError, match="finite"):
+        eval_w(math.inf, PRINCIPAL)
+    with pytest.raises(DomainError, match="lower branch"):
+        eval_w(math.inf, LOWER)
+    with pytest.raises(DomainError, match="no real value"):
+        eval_w(-math.inf, PRINCIPAL)
+    with pytest.raises(DomainError):
+        w_derivative(math.inf, PRINCIPAL)
+
+
 def test_iterations_capped_and_reported():
     ev = eval_w(123.456, PRINCIPAL)
     assert 1 <= ev.iterations <= 64
@@ -214,6 +226,11 @@ def test_curve_endpoints_exact():
     assert len(pts) == 7
     assert pts[0][0] == -0.3
     assert pts[-1][0] == 1.0
+
+
+def test_curve_endpoint_exact_where_the_step_rounds():
+    # lo + 8 * ((hi - lo) / 8) rounds to -0.010000000000000009 here.
+    assert w_curve(-0.3, -0.01, 9, LOWER)[-1][0] == -0.01
 
 
 def test_curve_single_point():

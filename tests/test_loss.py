@@ -29,6 +29,11 @@ def test_f_pinned_values():
     assert f_exp_negw(1.0) == pytest.approx(0.5671432904097838, rel=1e-12)
 
 
+def test_f_at_infinity_is_a_domain_error():
+    with pytest.raises(DomainError):
+        f_exp_negw(math.inf)
+
+
 def test_f_equals_w_over_z():
     """Cross-identity f(z) = W(z)/z, direct from W e^W = z."""
     for z in (-0.3, -0.05, 0.25, 1.0, 4.0, 9.5):

@@ -225,6 +225,11 @@ def test_enumerate_budget():
     enumerate_solutions("0", max_len=26, budget=2**26)  # explicit budget unlocks
 
 
+def test_enumerate_rejects_a_scheme_that_is_not_a_scheme():
+    with pytest.raises(DomainError, match="unknown scheme"):
+        enumerate_solutions("0", 4, scheme="uniform")
+
+
 def test_enumerate_agrees_with_all_strings_oracle():
     table = oracles.oracle_solutions(10)
     for rho in ("", "0", "1", "01", "11", "000", "0101"):

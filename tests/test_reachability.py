@@ -224,6 +224,11 @@ def test_reach_curve_principal_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_reach_curve_endpoint_exact_where_the_step_rounds():
+    # lo + 6 * ((hi - lo) / 6) rounds to 0.5000000000000001 here.
+    assert reach_curve(0.1, 0.5, 7, LOWER)[-1][0] == 0.5
+
+
 def test_reach_curve_single_point_and_validation():
     assert reach_curve(0.25, 0.5, 1, LOWER) == [(0.25, reach_from_variation(0.25, LOWER))]
     with pytest.raises(DomainError):

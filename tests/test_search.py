@@ -208,6 +208,14 @@ def test_parameter_validation():
         demiurge_search("0", SearchPolicy.SIZE_DESCENDING, start_length=0)
 
 
+@pytest.mark.parametrize("policy", list(SearchPolicy))
+def test_search_checks_the_output_cap_like_enumeration(policy):
+    # enumerate_solutions rejects a cap below 1 bit; a search must not
+    # instead return an all-miss trace.
+    with pytest.raises(DomainError, match="max_output_bits=0"):
+        demiurge_search("0", policy, max_output_bits=0)
+
+
 def test_trace_is_a_complete_record():
     trace = demiurge_search("00", SearchPolicy.SIZE_DESCENDING)
     assert isinstance(trace, SearchTrace)
