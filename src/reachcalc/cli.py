@@ -4,11 +4,16 @@ Subcommands: lambertw, reach, solve, report, search, loss.  Floats print
 with 12 significant digits; records/csv output is byte-identical across
 identical invocations.  Exit codes: 0 success, 1 domain error, 2 resource
 or budget error, 3 usage error.
+
+``main`` parses with one parser per process, built by ``build_parser`` on the
+first call and shared by every later in-process call; ``build_parser`` itself
+returns a fresh parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -372,10 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one CLI invocation and return its exit code.
+
+    In-process callers share one parser, built on the first call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

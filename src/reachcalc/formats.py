@@ -118,5 +118,6 @@ def read_program_text(text: str) -> str:
     """Bits from a program file: {0,1} characters, whitespace ignored."""
     bits = "".join(text.split())
     if set(bits) - {"0", "1"}:
-        raise DomainError(f"program text must be over {{0,1}}, got {bits[:40]!r}...")
+        more = "..." if len(bits) > 40 else ""
+        raise DomainError(f"program text must be over {{0,1}}, got {bits[:40]!r}{more}")
     return bits

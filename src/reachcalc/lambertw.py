@@ -185,11 +185,19 @@ def w_derivative(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> flo
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced points on [lo, hi], endpoints exact; [lo] when n == 1."""
+    """n evenly spaced points on [lo, hi], endpoints exact; [lo] when n == 1.
+
+    With two or more points the step is formed from lo, hi and hi - lo, so
+    all three must be finite.
+    """
     if n < 1:
         raise DomainError(f"need at least one sample point, got n = {n}")
     if n == 1:
         return [lo]
+    if not math.isfinite(hi - lo):  # also NaN or inf when lo or hi is
+        raise DomainError(
+            f"curve bounds and their span must be finite, got lo = {lo!r}, hi = {hi!r}"
+        )
     xs = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
     xs[-1] = hi
     return xs

@@ -181,6 +181,16 @@ def test_solve_bad_file_contents(tmp_path, capsys):
     assert "DomainError" in capsys.readouterr().err
 
 
+def test_solve_bad_file_error_marks_only_a_cut(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("012")
+    assert run_cli("solve", "--input", str(path)) == 1
+    assert capsys.readouterr().err == "DomainError: program text must be over {0,1}, got '012'\n"
+    path.write_text("2" * 41)
+    assert run_cli("solve", "--input", str(path)) == 1
+    assert capsys.readouterr().err.endswith(f"got {'2' * 40!r}...\n")
+
+
 def test_solve_budget_exit_code(capsys):
     assert run_cli("solve", "0", "--max-len", "26") == 2
     assert "ResourceExceeded" in capsys.readouterr().err
@@ -337,6 +347,22 @@ def test_parse_records_keeps_words_as_text(argv, key, value, capsys):
     assert row[key] == value
 
 
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        (("lambertw", "--curve", "0", "inf", "2", "--branch", "principal"), "lo = 0.0, hi = inf"),
+        (("reach", "--curve", "0.1", "inf", "3"), "lo = 0.1, hi = inf"),
+        (("reach", "--curve", "nan", "0.5", "3"), "lo = nan, hi = 0.5"),
+    ],
+)
+def test_curve_bound_that_is_not_finite_is_named(argv, bounds, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("DomainError:")
+    assert bounds in captured.err
+    assert captured.out == ""
+
+
 # -------------------------------------------------------------------- plumbing
 
 
@@ -362,6 +388,69 @@ def test_determinism_byte_for_byte(capsys):
     first = capsys.readouterr().out
     run_cli("report", "0", "--max-len", "8", "--format", "csv")
     assert capsys.readouterr().out == first
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, fresh_parser_cache, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (("lambertw", "1"), ("solve", "0", "--max-len", "6"), ("lambertw", "abc")):
+        run_cli(*argv)
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+# One argv per subcommand, plus usage, domain and resource errors and --version.
+SHARED_PARSER_ARGVS = [
+    ("lambertw", "1", "--branch", "principal", "--format", "records"),
+    ("lambertw", "abc"),
+    ("reach", "--variation", "0.25", "--format", "csv"),
+    ("reach", "--curve", "0.1", "0.5", "3", "--branch", "principal"),
+    ("solve", "0", "--max-len", "8", "--scheme", "uniform"),
+    ("solve", "0", "--max-len", "26"),
+    ("report", "0", "--max-len", "8", "--format", "records"),
+    ("search", "01101", "--policy", "exhaustive-by-size", "--format", "csv"),
+    ("search", "0", "--policy", "nonsense"),
+    ("loss", "1", "2"),
+    ("loss", "--", "-0.5", "0"),
+    ("--version",),
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_shared_parser_gives_what_fresh_parsers_give(fresh_parser_cache, capsys):
+    # Every argv runs both before and after every other one on the shared parser.
+    sequence = SHARED_PARSER_ARGVS + SHARED_PARSER_ARGVS[::-1]
+    shared = [_outcome(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 1, 2, 3, ("SystemExit", 0)}
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

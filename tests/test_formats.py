@@ -143,3 +143,15 @@ def test_read_program_text():
     assert read_program_text("") == ""
     with pytest.raises(DomainError):
         read_program_text("0x11")
+
+
+def test_read_program_text_error_marks_only_a_cut():
+    with pytest.raises(DomainError) as short:
+        read_program_text("012")
+    assert str(short.value).endswith("got '012'")
+    with pytest.raises(DomainError) as long:
+        read_program_text("2" * 41)
+    assert str(long.value).endswith(f"got {'2' * 40!r}...")
+    with pytest.raises(DomainError) as exact:
+        read_program_text("2" * 40)
+    assert str(exact.value).endswith(f"got {'2' * 40!r}")

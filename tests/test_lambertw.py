@@ -1,6 +1,7 @@
 """Tests for the real Lambert W branches and the x*log_a(x) = b solver."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -240,3 +241,13 @@ def test_curve_single_point():
 def test_curve_rejects_empty():
     with pytest.raises(DomainError):
         w_curve(0.0, 1.0, 0, PRINCIPAL)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)],
+)
+def test_curve_rejects_a_bound_or_span_that_is_not_finite(lo, hi):
+    # The last pair is finite, but hi - lo overflows to inf.
+    with pytest.raises(DomainError, match=re.escape(f"lo = {lo!r}, hi = {hi!r}")):
+        w_curve(lo, hi, 3, PRINCIPAL)

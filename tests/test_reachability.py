@@ -1,6 +1,7 @@
 """Tests for the reachability inversion P log2 P = -variation."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -233,3 +234,9 @@ def test_reach_curve_single_point_and_validation():
     assert reach_curve(0.25, 0.5, 1, LOWER) == [(0.25, reach_from_variation(0.25, LOWER))]
     with pytest.raises(DomainError):
         reach_curve(0.1, 0.2, 0, LOWER)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1, math.inf), (math.nan, 0.5), (-1e308, 1e308)])
+def test_reach_curve_rejects_a_bound_or_span_that_is_not_finite(lo, hi):
+    with pytest.raises(DomainError, match=re.escape(f"lo = {lo!r}, hi = {hi!r}")):
+        reach_curve(lo, hi, 3, LOWER)
