@@ -3,7 +3,8 @@
 Subcommands: lambertw, reach, solve, report, search, loss.  Floats print
 with 12 significant digits; records/csv output is byte-identical across
 identical invocations.  Exit codes: 0 success, 1 domain error, 2 resource
-or budget error, 3 usage error.
+or budget error, 3 usage error.  Each warning a command raises is written
+to stderr as one ``warning: <message>`` line.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on the
 first call and shared by every later in-process call; ``build_parser`` itself
@@ -21,7 +22,7 @@ from collections.abc import Iterable
 
 from . import __version__
 from .entropy import entropy_to_work, work_to_entropy
-from .errors import DegenerateSetWarning, InvalidPolicy, ReachcalcError, ResourceExceeded
+from .errors import InvalidPolicy, ReachcalcError, ResourceExceeded
 from .formats import (
     REPORT_KEYS,
     SOLUTION_KEYS,
@@ -48,6 +49,7 @@ from .search import Budget, demiurge_search
 _EXIT_DOMAIN = 1
 _EXIT_RESOURCE = 2
 _EXIT_USAGE = 3
+_MAX_CURVE_POINTS = 100_000  # the default search budget, so no curve outgrows a default trace
 
 
 class _UsageError(Exception):
@@ -83,11 +85,14 @@ def _scalar(fields: list[tuple[str, object]], fmt: str) -> None:
 def _curve(curve: list[str]) -> tuple[float, float, int]:
     lo, hi, n = curve
     try:
-        return float(lo), float(hi), int(n)
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise _UsageError(
             f"--curve needs numbers LO HI and an integer N, got {' '.join(curve)}"
         ) from None
+    if n > _MAX_CURVE_POINTS:
+        raise ResourceExceeded(f"--curve asks for {n} points, above the limit {_MAX_CURVE_POINTS}")
+    return lo, hi, n
 
 
 def _target_from(args) -> str:
@@ -185,15 +190,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_report(args) -> int:
     target = _target_from(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = reachability_report(
-            target,
-            args.max_len,
-            scheme=Scheme(args.scheme),
-            temperature=args.temp,
-            branch=BranchChoice(args.branch),
-        )
+    records = reachability_report(
+        target,
+        args.max_len,
+        scheme=Scheme(args.scheme),
+        temperature=args.temp,
+        branch=BranchChoice(args.branch),
+    )
     rows = [
         {
             "program": r.program_id,
@@ -214,9 +217,6 @@ def _cmd_report(args) -> int:
         _emit(rows, REPORT_KEYS + ("normalized",), "table")
     else:
         _emit(rows, REPORT_KEYS, args.format)
-    for w in caught:
-        if issubclass(w.category, DegenerateSetWarning):
-            sys.stderr.write(f"warning: {w.message}\n")
     return 0
 
 
@@ -389,7 +389,13 @@ def main(argv: list[str] | None = None) -> int:
     """
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for w in caught:
+                    sys.stderr.write(f"warning: {w.message}\n")
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE

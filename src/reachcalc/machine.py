@@ -19,8 +19,9 @@ also owns the encoding above (the opcode table, HALT and the rank order);
 CORE_BACKEND names it for the `--version` line.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps.
-run takes a step cap; enumeration and search use its default,
-DEFAULT_MAX_STEPS, so they count as solutions only programs run accepts.
+run takes step and output caps; enumeration and search run programs at
+DEFAULT_MAX_STEPS and problem.max_bits, so they count as solutions only
+programs run accepts.  Enumeration refuses 2^max_len > DEFAULT_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -165,18 +166,6 @@ def _as_problem(rho: Problem | str) -> Problem:
     return rho if isinstance(rho, Problem) else Problem(rho)
 
 
-def _as_program(program: Program | str) -> Program:
-    return program if isinstance(program, Program) else Program(program)
-
-
-def _check_limits(max_steps: int, max_output_bits: int) -> None:
-    if max_steps < 1 or max_output_bits < 1:
-        raise DomainError(
-            f"limits must be positive, got max_steps={max_steps!r} "
-            f"max_output_bits={max_output_bits!r}"
-        )
-
-
 def run(
     program: Program | str,
     *,
@@ -188,8 +177,12 @@ def run(
     Raises InvalidProgram for malformed bit strings and ResourceExceeded
     when the step or output cap is breached.
     """
-    prog = _as_program(program)
-    _check_limits(max_steps, max_output_bits)
+    prog = program if isinstance(program, Program) else Program(program)
+    if max_steps < 1 or max_output_bits < 1:
+        raise DomainError(
+            f"limits must be positive, got max_steps={max_steps!r} "
+            f"max_output_bits={max_output_bits!r}"
+        )
     status, out = _core_py.run_bits(prog.bits, max_steps, max_output_bits)
     if status == _core_py.STEP_CAP:
         raise ResourceExceeded(f"step cap {max_steps} breached by {prog.bits!r}")
@@ -208,30 +201,20 @@ def literal_program(rho: Problem | str) -> Program:
     return Program(body + HALT)
 
 
-def _check_enum_budget(max_len: int, budget: int) -> None:
-    if max_len < 0 or max_len % 2:
-        raise DomainError(f"max_len must be even and >= 0, got {max_len!r}")
-    if 2**max_len > budget:
-        raise ResourceExceeded(
-            f"2^{max_len} candidate strings exceed the enumeration budget {budget}"
-        )
-
-
-def _class_hits(
-    problem: Problem, max_len: int, budget: int, max_output_bits: int
-) -> Iterator[list[str]]:
+def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     """Each length class's solutions of problem, shortest class first.
 
-    The limits are checked when iteration starts.  It stops before classes
-    of more than DEFAULT_MAX_STEPS opcodes, which run would refuse, and
-    yields nothing for a target over the output cap.
+    max_len and the gate DEFAULT_ENUM_BUDGET are checked when iteration
+    starts; the gate keeps every class far below DEFAULT_MAX_STEPS opcodes.
     """
-    _check_limits(DEFAULT_MAX_STEPS, max_output_bits)
-    _check_enum_budget(max_len, budget)
-    if problem.length > max_output_bits:
-        return
-    for n_opcodes in range(1, min(max_len // 2, DEFAULT_MAX_STEPS) + 1):
-        yield _core_py.scan_length_class(n_opcodes, problem.target, max_output_bits)
+    if max_len < 0 or max_len % 2:
+        raise DomainError(f"max_len must be even and >= 0, got {max_len!r}")
+    if 2**max_len > DEFAULT_ENUM_BUDGET:
+        raise ResourceExceeded(
+            f"2^{max_len} candidate strings exceed the enumeration budget {DEFAULT_ENUM_BUDGET}"
+        )
+    for n_opcodes in range(1, max_len // 2 + 1):
+        yield _core_py.scan_length_class(n_opcodes, problem.target, problem.max_bits)
 
 
 def enumerate_solutions(
@@ -239,39 +222,27 @@ def enumerate_solutions(
     max_len: int = DEFAULT_MAX_LEN,
     *,
     scheme: Scheme = Scheme.LENGTH_WEIGHTED,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> SolutionSet:
     """Every valid program of length <= max_len whose output equals rho.
 
-    Ordered by (length, lexicographic).  Programs that would breach a cap
-    are simply not solutions.  Raises ResourceExceeded when 2^max_len
-    exceeds the enumeration budget.
+    Ordered by (length, lexicographic) and run at problem.max_bits; a
+    program that would breach a cap is not a solution.  Raises
+    ResourceExceeded when 2^max_len exceeds DEFAULT_ENUM_BUDGET.
     """
     problem = _as_problem(rho)
-    programs = tuple(
-        Program(bits)
-        for hits in _class_hits(problem, max_len, budget, max_output_bits)
-        for bits in hits
-    )
+    programs = tuple(Program(bits) for hits in _class_hits(problem, max_len) for bits in hits)
     weights = _distribution_for(programs, scheme) if programs else None
     return SolutionSet(problem, programs, weights, scheme)
 
 
-def kolmogorov_upper(
-    rho: Problem | str,
-    max_len: int = DEFAULT_MAX_LEN,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
-) -> ComplexityBound | None:
+def kolmogorov_upper(rho: Problem | str, max_len: int = DEFAULT_MAX_LEN) -> ComplexityBound | None:
     """Length of the shortest solution of rho within max_len, with witness.
 
     Ties go to the lexicographically smallest program.  None when no
     solution exists within the cap.
     """
     problem = _as_problem(rho)
-    for hits in _class_hits(problem, max_len, budget, max_output_bits):
+    for hits in _class_hits(problem, max_len):
         if hits:
             witness = Program(hits[0])
             return ComplexityBound(witness.length, witness)
@@ -303,20 +274,18 @@ def reachability_report(
     scheme: Scheme = Scheme.LENGTH_WEIGHTED,
     temperature: float = 300.0,
     branch: BranchChoice = BranchChoice.LOWER,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> list[ReachabilityRecord]:
     """Per-solution reachability records for rho, sorted by descending P.
 
-    Each record carries the scheme weight p_i, the entropy variation it
-    induces, the branch reachability, the Landauer energy k T ln2 * h, and
-    the normalized measure P_i / sum(P).  A single-program set has zero
+    The solutions are enumerate_solutions(rho, max_len, scheme=scheme), run
+    at problem.max_bits under the gate DEFAULT_ENUM_BUDGET.  Each record
+    carries the scheme weight p_i, the entropy variation it induces, the
+    branch reachability, the Landauer energy k T ln2 * h, and the
+    normalized measure P_i / sum(P).  A single-program set has zero
     variation; its reachability is the branch limit (with a warning) and
     its normalized measure is 1 by convention (the only event).
     """
-    solutions = enumerate_solutions(
-        rho, max_len, scheme=scheme, budget=budget, max_output_bits=max_output_bits
-    )
+    solutions = enumerate_solutions(rho, max_len, scheme=scheme)
     if not solutions.programs:
         raise EmptySetError(
             f"no solutions of length <= {max_len} for target {solutions.problem.target!r}"

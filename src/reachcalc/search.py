@@ -36,12 +36,10 @@ from .entropy import _landauer_unit, entropy_to_work
 from .errors import DomainError, InvalidPolicy
 from .machine import (
     DEFAULT_MAX_LEN,
-    DEFAULT_MAX_OUTPUT_BITS,
     DEFAULT_MAX_STEPS,
     Problem,
     Program,
     _as_problem,
-    _check_limits,
     iter_valid_programs,  # reachbench/layers.py wraps search.iter_valid_programs
     literal_program,
 )
@@ -111,12 +109,10 @@ class SearchTrace:
 class _Session:
     """Mutable bookkeeping shared by the policies."""
 
-    def __init__(self, problem: Problem, budget: Budget, temperature: float,
-                 max_output_bits: int):
+    def __init__(self, problem: Problem, budget: Budget, temperature: float):
         self.problem = problem
         self.budget = budget
         self.temperature = temperature
-        self.max_output_bits = max_output_bits
         self.segments: list[Segment] = []
         self.programs_run = 0
         self.best: Program | None = None
@@ -135,7 +131,7 @@ class _Session:
         end = 3 ** (n_opcodes - 1)
         count = min(end, self.budget.programs - self.programs_run)
         hits = _core_py.class_hit_ranks(
-            n_opcodes, self.problem.target, DEFAULT_MAX_STEPS, self.max_output_bits, count
+            n_opcodes, self.problem.target, DEFAULT_MAX_STEPS, self.problem.max_bits, count
         )
         if until_hit and hits:
             count, hits = hits[0] + 1, hits[:1]
@@ -191,13 +187,13 @@ def demiurge_search(
     temperature: float = 300.0,
     start_length: int | None = None,
     max_len: int = DEFAULT_MAX_LEN,
-    max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
 ) -> SearchTrace:
     """Search for a short solution of rho under the given policy and budget.
 
     start_length picks the size class where ExhaustiveBySize scans and
     SizeDescending begins its descent; the default is the literal program's
-    class, 2*l(rho) + 2.  The trace is returned whether or not a solution
+    class, 2*l(rho) + 2.  Programs run at the problem's output width,
+    problem.max_bits.  The trace is returned whether or not a solution
     was found; exhausting a budget is encoded there, not raised.
     """
     problem = _as_problem(rho)
@@ -211,7 +207,6 @@ def demiurge_search(
     if budget is None:
         budget = Budget()
     _landauer_unit(temperature)  # validates temperature
-    _check_limits(DEFAULT_MAX_STEPS, max_output_bits)
     if max_len < 2 or max_len % 2:
         raise DomainError(f"max_len must be even and >= 2, got {max_len!r}")
 
@@ -219,7 +214,7 @@ def demiurge_search(
     if start < 2 or start % 2:
         raise DomainError(f"start_length must be even and >= 2, got {start!r}")
 
-    session = _Session(problem, budget, temperature, max_output_bits)
+    session = _Session(problem, budget, temperature)
     if policy is SearchPolicy.EXHAUSTIVE_BY_SIZE:
         _exhaustive_by_size(session, start)
     elif policy is SearchPolicy.SIZE_DESCENDING:

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,54 @@ def test_reach_needs_exactly_one_input(capsys):
 def test_reach_domain_error(capsys):
     assert run_cli("reach", "--variation", "0.6") == 1
     assert "DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--variation", "--energy"])
+def test_reach_degenerate_warns_in_one_line(flag, capsys):
+    assert run_cli("reach", flag, "0") == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "variation: 0\nreachability: 0\nbranch: lower\nenergy: 0\ntemperature: 300\n"
+    )
+    assert captured.err == (
+        "warning: zero entropy variation: deterministic solution set, "
+        "reachability is the limiting value\n"
+    )
+
+
+def test_warnings_need_only_a_write_method_on_stderr(monkeypatch, capsys):
+    # An embedding program may hand main a stream with nothing but write().
+    class Sink:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, text):
+            self.parts.append(text)
+            return len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stderr", sink)
+    assert run_cli("reach", "--variation", "0") == 0
+    assert run_cli("reach", "--variation", "0.25") == 0
+    assert "".join(sink.parts).count("warning: zero entropy variation") == 1
+
+
+def test_curve_point_count_is_bounded(monkeypatch, capsys):
+    def sample(*args):
+        raise AssertionError("a curve over the limit was sampled")
+
+    monkeypatch.setattr(cli, "w_curve", sample)
+    start = time.perf_counter()
+    argv = ("lambertw", "--curve", "0", "1", "100000000000", "--branch", "principal")
+    assert run_cli(*argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ResourceExceeded:")
+    assert "100000000000" in err and str(cli._MAX_CURVE_POINTS) in err
+
+
+def test_curve_point_limit_is_inclusive():
+    assert cli._curve(["0", "1", str(cli._MAX_CURVE_POINTS)]) == (0.0, 1.0, 100_000)
 
 
 def test_reach_curve_endpoint(capsys):
@@ -194,6 +243,13 @@ def test_solve_bad_file_error_marks_only_a_cut(tmp_path, capsys):
 def test_solve_budget_exit_code(capsys):
     assert run_cli("solve", "0", "--max-len", "26") == 2
     assert "ResourceExceeded" in capsys.readouterr().err
+
+
+def test_solve_budget_error_text(capsys):
+    assert run_cli("solve", "0", "--max-len", "26") == 2
+    assert capsys.readouterr().err == (
+        "ResourceExceeded: 2^26 candidate strings exceed the enumeration budget 16777216\n"
+    )
 
 
 # ---------------------------------------------------------------------- report

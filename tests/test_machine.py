@@ -210,11 +210,6 @@ def test_enumerate_no_solutions():
     assert s.weights is None
 
 
-def test_enumerate_respects_output_cap():
-    s = enumerate_solutions(Problem("00000", max_bits=5), 12, max_output_bits=4)
-    assert len(s) == 0  # target cannot fit the output register
-
-
 def test_enumerate_budget():
     with pytest.raises(ResourceExceeded):
         enumerate_solutions("0", max_len=26)  # 2^26 > default 2^24 budget
@@ -222,7 +217,6 @@ def test_enumerate_budget():
         enumerate_solutions("0", max_len=7)
     with pytest.raises(DomainError):
         enumerate_solutions("0", max_len=-2)
-    enumerate_solutions("0", max_len=26, budget=2**26)  # explicit budget unlocks
 
 
 def test_enumerate_rejects_a_scheme_that_is_not_a_scheme():
@@ -274,7 +268,7 @@ def test_class_hit_ranks_match_the_brute_force_scan():
 
 def test_enumerate_target_wider_than_64_bits():
     problem = Problem("0" * 65, max_bits=128)
-    got = [p.bits for p in enumerate_solutions(problem, 18, max_output_bits=128).programs]
+    got = [p.bits for p in enumerate_solutions(problem, 18).programs]
     brute = [
         bits
         for k in range(1, 10)
@@ -283,6 +277,14 @@ def test_enumerate_target_wider_than_64_bits():
     ]
     assert got == brute
     assert len(got) == 2 and got[0] == "000010101010100011"
+
+
+def test_kolmogorov_upper_runs_at_the_problem_width():
+    problem = Problem("0" * 65, max_bits=128)
+    shortest = enumerate_solutions(problem, 18).programs[0]
+    bound = kolmogorov_upper(problem, 18)
+    assert bound.witness == shortest
+    assert bound.bits == shortest.length == 18
 
 
 # ------------------------------------------------------------------ complexity

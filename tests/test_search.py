@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reachcalc.entropy import BOLTZMANN_K, LN2, entropy_to_work
 from reachcalc.errors import DomainError, InvalidPolicy
-from reachcalc.machine import kolmogorov_upper, run
+from reachcalc.machine import Problem, enumerate_solutions, kolmogorov_upper, run
 from reachcalc.search import Budget, SearchPolicy, SearchTrace, demiurge_search
 
 import oracles
@@ -208,12 +208,15 @@ def test_parameter_validation():
         demiurge_search("0", SearchPolicy.SIZE_DESCENDING, start_length=0)
 
 
-@pytest.mark.parametrize("policy", list(SearchPolicy))
-def test_search_checks_the_output_cap_like_enumeration(policy):
-    # enumerate_solutions rejects a cap below 1 bit; a search must not
-    # instead return an all-miss trace.
-    with pytest.raises(DomainError, match="max_output_bits=0"):
-        demiurge_search("0", policy, max_output_bits=0)
+def test_search_runs_at_the_problem_width():
+    # A 65-bit target on a 128-bit problem: search and enumeration run the
+    # programs at the same width, so they agree on the shortest program.
+    problem = Problem("0" * 65, max_bits=128)
+    shortest = enumerate_solutions(problem, 18).programs[0]
+    greedy = demiurge_search(problem, SearchPolicy.REACHABILITY_GREEDY, max_len=18)
+    descent = demiurge_search(problem, SearchPolicy.SIZE_DESCENDING, start_length=18)
+    assert greedy.best_found == descent.best_found == shortest
+    assert shortest.bits == "000010101010100011"
 
 
 def test_trace_is_a_complete_record():
