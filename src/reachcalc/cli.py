@@ -99,7 +99,9 @@ def _target_from(args) -> str:
     if args.input is not None:
         if args.rho is not None:
             raise _UsageError("give the target either inline or via --input, not both")
-        with open(args.input, encoding="ascii") as fh:
+        # surrogateescape decodes every byte; a non-ASCII one becomes a lone
+        # surrogate, which read_program_text rejects like any other non-bit.
+        with open(args.input, encoding="ascii", errors="surrogateescape") as fh:
             return read_program_text(fh.read())
     if args.rho is None:
         raise _UsageError("missing target: pass it inline or via --input")

@@ -10,9 +10,9 @@ Landauer work, with k = 1.38065e-23 J/K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import DomainError, InvalidDistribution
 
 __all__ = [
@@ -41,15 +41,12 @@ VARIATION_MAX = 1.0 / (math.e * LN2)
 _SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
+class FiniteDistribution(Record):
     """Probabilities over a finite event set: every p in (0, 1], sum 1.
 
     Zero probabilities are rejected outright (no 0*log 0 convention); an
     event that cannot occur does not belong in the set.
     """
-
-    probabilities: tuple[float, ...]
 
     def __init__(self, probabilities: Iterable[float]):
         ps = tuple(float(p) for p in probabilities)
@@ -61,7 +58,7 @@ class FiniteDistribution:
         total = math.fsum(ps)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probabilities", ps)
+        self.__dict__["probabilities"] = ps
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -70,7 +67,7 @@ class FiniteDistribution:
         return self.probabilities[i]
 
 
-DistributionLike = Union[FiniteDistribution, Sequence[float]]
+DistributionLike = FiniteDistribution | Sequence[float]
 
 
 def _as_distribution(dist: DistributionLike) -> FiniteDistribution:
@@ -79,14 +76,12 @@ def _as_distribution(dist: DistributionLike) -> FiniteDistribution:
     return FiniteDistribution(dist)
 
 
-@dataclass(frozen=True)
-class EntropyVariation:
+class EntropyVariation(Record):
     """Entropy variation of one element: total H minus the partial sum H'."""
 
-    index: int
-    total_entropy: float
-    partial_entropy: float
-    variation: float
+    def __init__(self, index: int, total_entropy: float, partial_entropy: float, variation: float):
+        self.__dict__.update(index=index, total_entropy=total_entropy,
+                             partial_entropy=partial_entropy, variation=variation)
 
 
 def shannon_entropy(dist: DistributionLike) -> float:
@@ -115,13 +110,13 @@ def entropy_variation(dist: DistributionLike, index: int) -> EntropyVariation:
     return EntropyVariation(index, total, partial, terms[index - 1] + 0.0)
 
 
-@dataclass(frozen=True)
-class ThermoEntropy:
+class ThermoEntropy(Record):
     """A Shannon entropy alongside its Boltzmann equivalent H * k * ln2."""
 
-    shannon_bits: float
-    boltzmann: float
-    boltzmann_constant: float = field(default=BOLTZMANN_K)
+    def __init__(self, shannon_bits: float, boltzmann: float,
+                 boltzmann_constant: float = BOLTZMANN_K):
+        self.__dict__.update(shannon_bits=shannon_bits, boltzmann=boltzmann,
+                             boltzmann_constant=boltzmann_constant)
 
     @classmethod
     def from_shannon(cls, shannon_bits: float) -> "ThermoEntropy":

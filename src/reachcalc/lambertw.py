@@ -17,9 +17,9 @@ to ~1e-15 in w) and the residual requirement is relaxed to 1e-9 absolute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -53,8 +53,7 @@ class BranchChoice(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class WEvaluation:
+class WEvaluation(Record):
     """One converged evaluation of W.
 
     residual is |value * exp(value) - argument| at the returned value;
@@ -62,11 +61,10 @@ class WEvaluation:
     branch-point series was used).
     """
 
-    argument: float
-    value: float
-    branch: BranchChoice
-    residual: float
-    iterations: int
+    def __init__(self, argument: float, value: float, branch: BranchChoice, residual: float,
+                 iterations: int):
+        self.__dict__.update(argument=argument, value=value, branch=branch, residual=residual,
+                             iterations=iterations)
 
 
 def _series(p: float) -> float:

@@ -14,8 +14,8 @@ nonnegativity rests on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError
 from .lambertw import BRANCH_POINT, BranchChoice, eval_w
 from .lambertw import w_derivative  # unused; reachbench/layers.py wraps it here
@@ -31,27 +31,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LossEvaluation:
+class LossEvaluation(Record):
     """Matching loss of a (prediction, target) pair with the link values."""
 
-    z_hat: float
-    z: float
-    f_z_hat: float
-    f_z: float
-    divergence: float
+    def __init__(self, z_hat: float, z: float, f_z_hat: float, f_z: float, divergence: float):
+        self.__dict__.update(z_hat=z_hat, z=z, f_z_hat=f_z_hat, f_z=f_z, divergence=divergence)
 
 
-@dataclass(frozen=True)
-class ConvexityCertificate:
+class ConvexityCertificate(Record):
     """Result of the grid check: every second central difference >= -tol."""
 
-    ok: bool
-    min_second_difference: float
-    points: int
-    lo: float
-    hi: float
-    step: float
+    def __init__(self, ok: bool, min_second_difference: float, points: int, lo: float, hi: float,
+                 step: float):
+        self.__dict__.update(ok=ok, min_second_difference=min_second_difference, points=points,
+                             lo=lo, hi=hi, step=step)
 
 
 def f_exp_negw(z: float) -> float:

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
 from . import _core_py
 from ._core_py import HALT, iter_valid_programs
+from ._record import Record
 from .entropy import FiniteDistribution, entropy_to_work
 from .entropy import entropy_variation  # unused; reachbench/layers.py wraps it here
 from .errors import (
@@ -96,14 +96,12 @@ def _validate_program_bits(bits: str) -> None:
         raise InvalidProgram("HALT may only appear as the final opcode")
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A validated program of the toy machine."""
 
-    bits: str
-
-    def __post_init__(self):
-        _validate_program_bits(self.bits)
+    def __init__(self, bits: str):
+        _validate_program_bits(bits)
+        self.__dict__["bits"] = bits
 
     @property
     def length(self) -> int:
@@ -114,38 +112,31 @@ class Program:
         return len(self.bits) // 2
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """A target output string rho, at most max_bits long."""
 
-    target: str
-    max_bits: int = DEFAULT_MAX_OUTPUT_BITS
-
-    def __post_init__(self):
-        if set(self.target) - {"0", "1"}:
-            raise DomainError(f"target must be over {{0,1}}, got {self.target!r}")
-        if len(self.target) > self.max_bits:
-            raise DomainError(
-                f"target of {len(self.target)} bits exceeds the {self.max_bits}-bit maximum"
-            )
+    def __init__(self, target: str, max_bits: int = DEFAULT_MAX_OUTPUT_BITS):
+        if set(target) - {"0", "1"}:
+            raise DomainError(f"target must be over {{0,1}}, got {target!r}")
+        if len(target) > max_bits:
+            raise DomainError(f"target of {len(target)} bits exceeds the {max_bits}-bit maximum")
+        self.__dict__.update(target=target, max_bits=max_bits)
 
     @property
     def length(self) -> int:
         return len(self.target)
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(Record):
     """Every solution of a problem up to the length cap, with weights.
 
     Programs are ordered by (length, lexicographic); weights is None only
     for an empty set.
     """
 
-    problem: Problem
-    programs: tuple[Program, ...]
-    weights: FiniteDistribution | None
-    scheme: Scheme
+    def __init__(self, problem: Problem, programs: tuple[Program, ...],
+                 weights: FiniteDistribution | None, scheme: Scheme):
+        self.__dict__.update(problem=problem, programs=programs, weights=weights, scheme=scheme)
 
     def __len__(self) -> int:
         return len(self.programs)
@@ -154,12 +145,11 @@ class SolutionSet:
         return tuple(p.length for p in self.programs)
 
 
-@dataclass(frozen=True)
-class ComplexityBound:
+class ComplexityBound(Record):
     """Upper bound on program complexity: the shortest solution found."""
 
-    bits: int
-    witness: Program
+    def __init__(self, bits: int, witness: Program):
+        self.__dict__.update(bits=bits, witness=witness)
 
 
 def _as_problem(rho: Problem | str) -> Problem:

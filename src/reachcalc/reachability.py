@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
+from ._record import Record
 from .entropy import LN2, VARIATION_MAX, _landauer_unit
 from .errors import DegenerateSetWarning, DomainError, EmptySetError
 from .lambertw import BranchChoice, _grid, eval_w
@@ -35,8 +35,7 @@ __all__ = [
 _CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class ReachabilityRecord:
+class ReachabilityRecord(Record):
     """Reachability of one program in a solution set.
 
     `normalized` is P / sum(P) over the set (filled by reachability_report);
@@ -44,15 +43,12 @@ class ReachabilityRecord:
     reachability is the branch's limiting value rather than a root.
     """
 
-    program_id: str
-    p_i: float
-    variation: float
-    reachability: float
-    branch: BranchChoice
-    energy: float
-    temperature: float
-    normalized: float | None = None
-    degenerate: bool = False
+    def __init__(self, program_id: str, p_i: float, variation: float, reachability: float,
+                 branch: BranchChoice, energy: float, temperature: float,
+                 normalized: float | None = None, degenerate: bool = False):
+        self.__dict__.update(program_id=program_id, p_i=p_i, variation=variation,
+                             reachability=reachability, branch=branch, energy=energy,
+                             temperature=temperature, normalized=normalized, degenerate=degenerate)
 
     @property
     def length(self) -> int:
@@ -107,7 +103,7 @@ def reach_from_energy(
     return reach_from_variation(variation, branch)
 
 
-def normalize(records: Iterable[Union[ReachabilityRecord, float]]) -> list[float]:
+def normalize(records: Iterable[ReachabilityRecord | float]) -> list[float]:
     """Scale reachabilities to a probability measure P_i / sum(P).
 
     Accepts ReachabilityRecord objects or bare reachability values.  The

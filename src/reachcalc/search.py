@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
 from . import _core_py  # reachbench/layers.py wraps search._core_py
+from ._record import Record
 from .entropy import _landauer_unit, entropy_to_work
 from .errors import DomainError, InvalidPolicy
 from .machine import (
@@ -54,20 +54,17 @@ class SearchPolicy(Enum):
     REACHABILITY_GREEDY = "reachabilitygreedy"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Program-count and energy caps for one search."""
 
-    programs: int = 100_000
-    energy: float = math.inf
-
-    def __post_init__(self):
-        if isinstance(self.programs, bool) or not isinstance(self.programs, int):
-            raise DomainError(f"program budget must be an int, got {self.programs!r}")
-        if self.programs < 1:
-            raise DomainError(f"program budget must be >= 1, got {self.programs!r}")
-        if not self.energy > 0.0 or math.isnan(self.energy):
-            raise DomainError(f"energy budget must be > 0 J, got {self.energy!r}")
+    def __init__(self, programs: int = 100_000, energy: float = math.inf):
+        if isinstance(programs, bool) or not isinstance(programs, int):
+            raise DomainError(f"program budget must be an int, got {programs!r}")
+        if programs < 1:
+            raise DomainError(f"program budget must be >= 1, got {programs!r}")
+        if not energy > 0.0 or math.isnan(energy):
+            raise DomainError(f"energy budget must be > 0 J, got {energy!r}")
+        self.__dict__.update(programs=programs, energy=energy)
 
 
 #: One class's share of a search, (n_opcodes, count, hit_ranks): the first
@@ -76,8 +73,7 @@ class Budget:
 Segment = tuple[int, int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class SearchTrace:
+class SearchTrace(Record):
     """What a search did: the programs it ran, in order, and what it cost.
 
     The trace keeps one segment per class scanned, with the ranks of its
@@ -85,14 +81,13 @@ class SearchTrace:
     demand, so a trace costs its hits, not its programs.
     """
 
-    policy: SearchPolicy
-    segments: tuple[Segment, ...]
-    programs_run: int
-    energy_charged: float
-    bits_reduced: int
-    best_found: Program | None
-    temperature: float
-    budget_exhausted: bool
+    def __init__(self, policy: SearchPolicy, segments: tuple[Segment, ...], programs_run: int,
+                 energy_charged: float, bits_reduced: int, best_found: Program | None,
+                 temperature: float, budget_exhausted: bool):
+        self.__dict__.update(policy=policy, segments=segments, programs_run=programs_run,
+                             energy_charged=energy_charged, bits_reduced=bits_reduced,
+                             best_found=best_found, temperature=temperature,
+                             budget_exhausted=budget_exhausted)
 
     def iter_steps(self) -> Iterator[tuple[str, str]]:
         """Yield (program bits, "hit" | "miss") for every program run, in order."""

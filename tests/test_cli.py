@@ -240,6 +240,23 @@ def test_solve_bad_file_error_marks_only_a_cut(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f"got {'2' * 40!r}...\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "report", "search"])
+@pytest.mark.parametrize(
+    "data, shown",
+    [(b"01\xc3\xa9\n", r"'01\udcc3\udca9'"), (b"0\xa01\n", r"'0\udca01'")],
+    ids=["utf8", "latin1-nbsp"],
+)
+def test_input_with_non_ascii_bytes_is_a_domain_error(tmp_path, capsys, command, data, shown):
+    # A non-ASCII byte is rejected like any other non-bit, never skipped
+    # as whitespace (0xA0 is a space in Latin-1).
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    assert run_cli(command, "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"DomainError: program text must be over {{0,1}}, got {shown}\n"
+
+
 def test_solve_budget_exit_code(capsys):
     assert run_cli("solve", "0", "--max-len", "26") == 2
     assert "ResourceExceeded" in capsys.readouterr().err
