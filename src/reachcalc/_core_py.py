@@ -1,10 +1,10 @@
 """The machine kernel: the program encoding, the interpreter, the
 length-class scan and the target-prefix walk.
 
-This module owns the encoding: the opcode table _OPCODES, HALT and the rank
-order.  reachcalc.machine and reachcalc.search call these directly.
-Programs arriving here are already validated (even length, terminal HALT
-only).
+This module owns the encoding (the opcode table _OPCODES, HALT, the rank
+order) and the length class: its size, its rank order and the step cap
+DEFAULT_MAX_STEPS.  reachcalc.machine and reachcalc.search call these
+directly.  Programs arriving here are validated (even, terminal HALT only).
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -22,6 +22,7 @@ OUTPUT_CAP = 2
 
 _OPCODES = ("00", "01", "10")  # emit0, emit1, double, in rank order
 HALT = "11"
+DEFAULT_MAX_STEPS = 10_000
 
 
 def run_bits(bits: str, max_steps: int, max_output_bits: int) -> tuple[int, str | None]:
@@ -52,20 +53,12 @@ def run_bits(bits: str, max_steps: int, max_output_bits: int) -> tuple[int, str 
 
 
 def scan_length_class(n_opcodes: int, target: str, max_output_bits: int) -> list[str]:
-    """All valid programs of exactly n_opcodes opcodes printing `target`.
-
-    Returned in lexicographic bit order (the free opcodes 00 < 01 < 10
-    enumerate in base-3 counter order, which is the same thing).
-    """
+    """All valid programs of exactly n_opcodes opcodes printing `target`,
+    in rank order, each run under the caps."""
     if len(target) > max_output_bits:
         return []
-    hits: list[str] = []
-    for body in product(_OPCODES, repeat=n_opcodes - 1):
-        bits = "".join(body) + HALT
-        status, out = run_bits(bits, n_opcodes, max_output_bits)
-        if status == OK and out == target:
-            hits.append(bits)
-    return hits
+    return [bits for bits in iter_valid_programs(n_opcodes)
+            if run_bits(bits, DEFAULT_MAX_STEPS, max_output_bits) == (OK, target)]
 
 
 def iter_valid_programs(n_opcodes: int) -> Iterator[str]:
@@ -74,6 +67,14 @@ def iter_valid_programs(n_opcodes: int) -> Iterator[str]:
         return
     for body in product(_OPCODES, repeat=n_opcodes - 1):
         yield "".join(body) + HALT
+
+
+def class_size(n_opcodes: int, cap: int) -> int:
+    """min(3**(n_opcodes - 1), cap): the programs of n_opcodes >= 1 opcodes,
+    counted up to cap without forming a power larger than cap."""
+    if n_opcodes - 1 >= cap.bit_length():
+        return cap  # 3**(n_opcodes - 1) >= 2**(n_opcodes - 1) > cap
+    return min(3 ** (n_opcodes - 1), cap)
 
 
 def rank_bits(n_opcodes: int, rank: int) -> str:
@@ -85,7 +86,7 @@ def rank_bits(n_opcodes: int, rank: int) -> str:
     return "".join(reversed(body)) + HALT
 
 
-def class_hit_ranks(n_opcodes: int, target: str, max_steps: int, max_output_bits: int,
+def class_hit_ranks(n_opcodes: int, target: str, max_output_bits: int,
                     stop: int | None = None) -> list[int]:
     """Ascending ranks of the programs of n_opcodes opcodes that print `target`
     under the caps, only those below `stop` when it is given.
@@ -96,7 +97,7 @@ def class_hit_ranks(n_opcodes: int, target: str, max_steps: int, max_output_bits
     class costs its hits, not its 3**(n_opcodes - 1) candidates.
     """
     size = len(target)
-    if not 1 <= n_opcodes <= max_steps or size > max_output_bits:
+    if not 1 <= n_opcodes <= DEFAULT_MAX_STEPS or size > max_output_bits:
         return []  # no such class, or run_bits stops all of it at a cap
     hits: list[int] = []
     # (prefix length, rank of the opcodes taken, free opcodes left); a node's

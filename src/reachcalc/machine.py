@@ -14,9 +14,9 @@ proper prefix ends in a non-HALT opcode and is therefore itself invalid.
 A "problem" is a target bit string rho; the solution set of rho is every
 valid program up to a length cap whose output equals rho.  Enumeration goes
 by length class, lexicographic within a class.  Programs run, and length
-classes are scanned, on the pure-Python kernel in reachcalc._core_py, which
-also owns the encoding above (the opcode table, HALT and the rank order);
-CORE_BACKEND names it for the `--version` line.
+classes are scanned, on the pure-Python kernel in reachcalc._core_py.  It
+owns the encoding above and the length class: its size, rank order and step
+cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps.
 run takes step and output caps; enumeration and search run programs at
@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from enum import Enum
 
 from . import _core_py
-from ._core_py import HALT, iter_valid_programs
+from ._core_py import DEFAULT_MAX_STEPS, HALT, iter_valid_programs
 from ._record import Record
 from .entropy import FiniteDistribution, entropy_to_work
 from .entropy import entropy_variation  # unused; reachbench/layers.py wraps it here
@@ -71,7 +71,6 @@ __all__ = [
 
 DEFAULT_MAX_LEN = 24
 DEFAULT_ENUM_BUDGET = 2**24
-DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_OUTPUT_BITS = 64
 
 
@@ -80,6 +79,11 @@ class Scheme(Enum):
 
     UNIFORM = "uniform"
     LENGTH_WEIGHTED = "lengthweighted"
+
+
+def _check_even_length(name: str, value: int, least: int) -> None:
+    if value < least or value % 2:
+        raise DomainError(f"{name} must be even and >= {least}, got {value!r}")
 
 
 def _validate_program_bits(bits: str) -> None:
@@ -186,20 +190,16 @@ def literal_program(rho: Problem | str) -> Program:
 
     Its length 2*l(rho) + 2 is the universal upper bound on solution size.
     """
-    problem = _as_problem(rho)
-    body = "".join(_core_py._OPCODES[int(b)] for b in problem.target)
-    return Program(body + HALT)
+    target = _as_problem(rho).target
+    # Its body's base-3 digits are the target's bits: emit0 is 0, emit1 is 1.
+    return Program(_core_py.rank_bits(len(target) + 1, int(target or "0", 3)))
 
 
 def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
-    """Each length class's solutions of problem, shortest class first.
-
-    max_len and the gate DEFAULT_ENUM_BUDGET are checked when iteration
-    starts; the gate keeps every class far below DEFAULT_MAX_STEPS opcodes.
-    """
-    if max_len < 0 or max_len % 2:
-        raise DomainError(f"max_len must be even and >= 0, got {max_len!r}")
-    if 2**max_len > DEFAULT_ENUM_BUDGET:
+    """Each length class's solutions of problem, shortest class first; max_len
+    and the gate DEFAULT_ENUM_BUDGET are checked when iteration starts."""
+    _check_even_length("max_len", max_len, 0)
+    if max_len >= DEFAULT_ENUM_BUDGET.bit_length():  # i.e. 2**max_len > DEFAULT_ENUM_BUDGET
         raise ResourceExceeded(
             f"2^{max_len} candidate strings exceed the enumeration budget {DEFAULT_ENUM_BUDGET}"
         )

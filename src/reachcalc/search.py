@@ -36,10 +36,10 @@ from .entropy import _landauer_unit, entropy_to_work
 from .errors import DomainError, InvalidPolicy
 from .machine import (
     DEFAULT_MAX_LEN,
-    DEFAULT_MAX_STEPS,
     Problem,
     Program,
     _as_problem,
+    _check_even_length,
     iter_valid_programs,  # reachbench/layers.py wraps search.iter_valid_programs
     literal_program,
 )
@@ -123,11 +123,11 @@ class _Session:
         hits come from the target-prefix walk; the misses are only counted.
         """
         n_opcodes = size // 2
-        end = 3 ** (n_opcodes - 1)
-        count = min(end, self.budget.programs - self.programs_run)
-        hits = _core_py.class_hit_ranks(
-            n_opcodes, self.problem.target, DEFAULT_MAX_STEPS, self.problem.max_bits, count
-        )
+        left = self.budget.programs - self.programs_run
+        end = _core_py.class_size(n_opcodes, left + 1)  # end > left: the class outlasts the budget
+        count = min(end, left)
+        hits = _core_py.class_hit_ranks(n_opcodes, self.problem.target, self.problem.max_bits,
+                                        count)
         if until_hit and hits:
             count, hits = hits[0] + 1, hits[:1]
         elif count < end:
@@ -202,12 +202,9 @@ def demiurge_search(
     if budget is None:
         budget = Budget()
     _landauer_unit(temperature)  # validates temperature
-    if max_len < 2 or max_len % 2:
-        raise DomainError(f"max_len must be even and >= 2, got {max_len!r}")
-
+    _check_even_length("max_len", max_len, 2)
     start = start_length if start_length is not None else literal_program(problem).length
-    if start < 2 or start % 2:
-        raise DomainError(f"start_length must be even and >= 2, got {start!r}")
+    _check_even_length("start_length", start, 2)
 
     session = _Session(problem, budget, temperature)
     if policy is SearchPolicy.EXHAUSTIVE_BY_SIZE:

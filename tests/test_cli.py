@@ -263,10 +263,13 @@ def test_solve_budget_exit_code(capsys):
 
 
 def test_solve_budget_error_text(capsys):
-    assert run_cli("solve", "0", "--max-len", "26") == 2
-    assert capsys.readouterr().err == (
-        "ResourceExceeded: 2^26 candidate strings exceed the enumeration budget 16777216\n"
-    )
+    # Any --max-len above 24 exits 2 at once: the gate forms no power of it.
+    for max_len in ("26", "100000000000"):
+        assert run_cli("solve", "0", "--max-len", max_len) == 2
+        assert capsys.readouterr().err == (
+            f"ResourceExceeded: 2^{max_len} candidate strings exceed the enumeration budget "
+            "16777216\n"
+        )
 
 
 # ---------------------------------------------------------------------- report
@@ -371,6 +374,21 @@ def test_search_start_length(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9
     assert lines[6] == "program=100011 length=6 outcome=hit"
+
+
+def test_search_start_length_far_above_the_budget():
+    """A class of 3^(10^8 - 1) programs is counted only up to the budget; a
+    fresh interpreter with a timeout, so a regression fails instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reachcalc.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-m", "reachcalc.cli", "search", "0", "--start-length", "200000000"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (
+        "policy: sizedescending\nprograms_run: 100000\nbest_found: none\nbest_length: none\n"
+        "bits_reduced: 0\nenergy_charged: 0\ntemperature: 300\nbudget_exhausted: true\n"
+    )
 
 
 # ------------------------------------------------------------------------ loss

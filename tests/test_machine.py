@@ -20,6 +20,8 @@ from reachcalc.errors import (
 from reachcalc.lambertw import BranchChoice
 from reachcalc.machine import (
     CORE_BACKEND,
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_MAX_STEPS,
     Problem,
     Program,
     Scheme,
@@ -211,8 +213,18 @@ def test_enumerate_no_solutions():
 
 
 def test_enumerate_budget():
-    with pytest.raises(ResourceExceeded):
-        enumerate_solutions("0", max_len=26)  # 2^26 > default 2^24 budget
+    for max_len in range(0, 65, 2):  # the gate refuses exactly 2^max_len > budget
+        if 2**max_len > DEFAULT_ENUM_BUDGET:
+            with pytest.raises(ResourceExceeded):
+                kolmogorov_upper("0", max_len)
+        else:
+            kolmogorov_upper("0", max_len)
+    for max_len in (26, 10**11):  # no power of max_len is formed
+        message = rf"^2\^{max_len} candidate strings exceed the enumeration budget 16777216$"
+        with pytest.raises(ResourceExceeded, match=message):
+            enumerate_solutions("0", max_len=max_len)
+        with pytest.raises(ResourceExceeded, match=message):
+            kolmogorov_upper("0", max_len)
     with pytest.raises(DomainError):
         enumerate_solutions("0", max_len=7)
     with pytest.raises(DomainError):
@@ -249,21 +261,34 @@ def test_class_hit_ranks_match_the_brute_force_scan():
         for size in range(7):
             for target in map("".join, product("01", repeat=size)):
                 brute = _core_py.scan_length_class(n, target, 64)
-                ranks = _core_py.class_hit_ranks(n, target, 10_000, 64)
+                ranks = _core_py.class_hit_ranks(n, target, 64)
                 assert [programs[r] for r in ranks] == brute, (n, target)
                 for hit in ranks:
                     for stop in (hit - 1, hit, hit + 1):
-                        assert _core_py.class_hit_ranks(n, target, 10_000, 64, stop) == [
+                        assert _core_py.class_hit_ranks(n, target, 64, stop) == [
                             r for r in ranks if r < stop
                         ]
-                assert _core_py.class_hit_ranks(n, target, 10_000, 64, 0) == []
-                assert _core_py.class_hit_ranks(n, target, 10_000, 64, len(programs)) == ranks
-                # The caps: n steps and len(target) output bits are just enough.
-                assert _core_py.class_hit_ranks(n, target, n, size) == ranks
-                assert _core_py.class_hit_ranks(n, target, n - 1, 64) == []
+                assert _core_py.class_hit_ranks(n, target, 64, 0) == []
+                assert _core_py.class_hit_ranks(n, target, 64, len(programs)) == ranks
+                # The output cap: len(target) bits are just enough.
+                assert _core_py.class_hit_ranks(n, target, size) == ranks
                 if size:
                     assert _core_py.scan_length_class(n, target, size - 1) == []
-                    assert _core_py.class_hit_ranks(n, target, 10_000, size - 1) == []
+                    assert _core_py.class_hit_ranks(n, target, size - 1) == []
+    # The step cap: a class of DEFAULT_MAX_STEPS opcodes runs, one more does not.
+    n = DEFAULT_MAX_STEPS
+    assert [_core_py.rank_bits(n, r) for r in _core_py.class_hit_ranks(n, "0", 64)] == [
+        "10" * (n - 2) + "0011"
+    ]
+    assert _core_py.class_hit_ranks(n + 1, "0", 64) == []
+
+
+def test_class_size_is_the_class_counted_up_to_the_cap():
+    caps = set(range(1000)) | {3**k + d for k in range(13) for d in (-1, 0, 1)} | {10**6}
+    for n in range(1, 41):
+        for cap in caps:
+            assert _core_py.class_size(n, cap) == min(3 ** (n - 1), cap), (n, cap)
+    assert _core_py.class_size(10**8, 100_001) == 100_001
 
 
 def test_enumerate_target_wider_than_64_bits():

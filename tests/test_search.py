@@ -141,6 +141,9 @@ def test_program_budget_stops_the_search():
     assert trace.programs_run == 5
     assert trace.best_found.bits == "00001011"  # found before the cutoff
     assert trace.bits_reduced == 2
+    # Class 10^8 holds 3^(10^8 - 1) programs; the scan counts only the budget's.
+    far = demiurge_search("0", "size-descending", start_length=2 * 10**8)
+    assert (far.programs_run, far.best_found, far.budget_exhausted) == (100_000, None, True)
 
 
 def test_energy_budget_blocks_the_reduction():
