@@ -77,6 +77,11 @@ def class_size(n_opcodes: int, cap: int) -> int:
     return min(3 ** (n_opcodes - 1), cap)
 
 
+def literal_bits(target: str) -> str:
+    """The transcription of target: emit0 or emit1 per bit, then HALT."""
+    return "".join(_OPCODES[bit == "1"] for bit in target) + HALT
+
+
 def rank_bits(n_opcodes: int, rank: int) -> str:
     """The program of n_opcodes opcodes with the given rank."""
     body = []

@@ -186,13 +186,9 @@ def run(
 
 
 def literal_program(rho: Problem | str) -> Program:
-    """The EMIT...HALT transcription of rho: one EMIT per bit, then HALT.
-
-    Its length 2*l(rho) + 2 is the universal upper bound on solution size.
-    """
-    target = _as_problem(rho).target
-    # Its body's base-3 digits are the target's bits: emit0 is 0, emit1 is 1.
-    return Program(_core_py.rank_bits(len(target) + 1, int(target or "0", 3)))
+    """The EMIT...HALT transcription of rho, one EMIT per bit; its length
+    2*l(rho) + 2 is the universal upper bound on solution size."""
+    return Program(_core_py.literal_bits(_as_problem(rho).target))
 
 
 def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:

@@ -148,6 +148,14 @@ def test_literal_program_transcribes():
     assert literal_program("10").bits == "010011"
 
 
+def test_literal_program_of_a_target_above_the_int_digit_limit():
+    # 5,000 or more bits: int() refuses a base-3 string of over 4,300 digits.
+    for rho in ("0" * 5000, "10" * 2600):
+        prog = literal_program(Problem(rho, max_bits=len(rho)))
+        assert prog.length == 2 * len(rho) + 2
+        assert run(prog, max_output_bits=len(rho)) == rho
+
+
 @given(target_bits)
 def test_literal_program_solves_its_target(rho):
     prog = literal_program(rho)

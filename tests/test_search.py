@@ -222,6 +222,16 @@ def test_search_runs_at_the_problem_width():
     assert shortest.bits == "000010101010100011"
 
 
+def test_search_starts_at_the_literal_program_of_a_wide_target():
+    # No start_length: the first class is the 10,002-bit transcription's,
+    # whose first program is the transcription of 5,000 zeros.
+    problem = Problem("0" * 5000, max_bits=5000)
+    trace = demiurge_search(problem, SearchPolicy.SIZE_DESCENDING)
+    assert trace.segments == ((5001, 1, (0,)), (5000, 99_999, ()))
+    assert trace.best_found.bits == "00" * 5000 + "11"
+    assert trace.budget_exhausted
+
+
 def test_trace_is_a_complete_record():
     trace = demiurge_search("00", SearchPolicy.SIZE_DESCENDING)
     assert isinstance(trace, SearchTrace)
