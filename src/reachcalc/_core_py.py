@@ -52,13 +52,17 @@ def run_bits(bits: str, max_steps: int, max_output_bits: int) -> tuple[int, str 
     return OK, "".join(out)
 
 
-def scan_length_class(n_opcodes: int, target: str, max_output_bits: int) -> list[str]:
+def scan_length_class(n_opcodes: int, target: str) -> list[str]:
     """All valid programs of exactly n_opcodes opcodes printing `target`,
-    in rank order, each run under the caps."""
-    if len(target) > max_output_bits:
-        return []
+    in rank order.
+
+    Every candidate runs at DEFAULT_MAX_STEPS and at the target's width:
+    the output only grows, so a program stopped for outgrowing the target
+    could never have printed it.
+    """
+    width = len(target)
     return [bits for bits in iter_valid_programs(n_opcodes)
-            if run_bits(bits, DEFAULT_MAX_STEPS, max_output_bits) == (OK, target)]
+            if run_bits(bits, DEFAULT_MAX_STEPS, width) == (OK, target)]
 
 
 def iter_valid_programs(n_opcodes: int) -> Iterator[str]:
@@ -91,10 +95,9 @@ def rank_bits(n_opcodes: int, rank: int) -> str:
     return "".join(reversed(body)) + HALT
 
 
-def class_hit_ranks(n_opcodes: int, target: str, max_output_bits: int,
-                    stop: int | None = None) -> list[int]:
+def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> list[int]:
     """Ascending ranks of the programs of n_opcodes opcodes that print `target`
-    under the caps, only those below `stop` when it is given.
+    within DEFAULT_MAX_STEPS, only those below `stop` when it is given.
 
     The output only grows, so a program hits only if its output stays a
     prefix of the target at every step.  The walk tracks the prefix length
@@ -102,8 +105,8 @@ def class_hit_ranks(n_opcodes: int, target: str, max_output_bits: int,
     class costs its hits, not its 3**(n_opcodes - 1) candidates.
     """
     size = len(target)
-    if not 1 <= n_opcodes <= DEFAULT_MAX_STEPS or size > max_output_bits:
-        return []  # no such class, or run_bits stops all of it at a cap
+    if not 1 <= n_opcodes <= DEFAULT_MAX_STEPS:
+        return []  # no such class, or run_bits stops all of it at the step cap
     hits: list[int] = []
     # (prefix length, rank of the opcodes taken, free opcodes left); a node's
     # subtree holds the ranks rank * 3**left up to the next multiple.

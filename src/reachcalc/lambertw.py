@@ -7,7 +7,9 @@ W(x) is defined by W(x) * exp(W(x)) = x.  Two real branches exist:
 
 Both meet at the branch point x = -1/e where W = -1.  Values are found by
 Halley's method on f(w) = w*exp(w) - x, started from a branch-point series
-near -1/e and from logarithmic asymptotics elsewhere.  Success means the
+near -1/e and from logarithmic asymptotics elsewhere.  Above 2**1021, where
+Halley's correction term overflows, the principal branch is found by
+Newton's method on w + ln w = ln x instead.  Success means the
 residual |w*exp(w) - x| is at most 1e-12 * max(1, |x|); immediately around
 the branch point the square-root singularity caps what any float iteration
 can resolve, so there the series value is returned directly (it is accurate
@@ -44,6 +46,9 @@ _SERIES_ONLY = 1e-5
 _SERIES_START = 0.07
 # Values within a few ulps of -1/e snap to the branch point exactly.
 _SNAP = 4 * math.ulp(BRANCH_POINT)
+# x above this: Newton on w + ln w = ln x, since Halley's (w + 2) * f
+# overflows from about x = 2.757e307.
+_LOG_FORM = 2.0**1021
 
 
 class BranchChoice(Enum):
@@ -120,7 +125,9 @@ def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluati
     near_branch = (x - BRANCH_POINT) < _SERIES_ONLY
     w = _initial_guess(x, branch)
     iterations = 0
-    if not near_branch:
+    if x > _LOG_FORM:
+        w, iterations = _log_newton(x, w)
+    elif not near_branch:
         # Halley's method on f(w) = w e^w - x.
         tol = _RESIDUAL_RTOL * max(1.0, abs(x))
         for iterations in range(1, _MAX_ITER + 1):
@@ -139,7 +146,10 @@ def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluati
         else:
             w = min(w, -1.0)
 
-    residual = abs(w * math.exp(w) - x)
+    if x > _LOG_FORM:  # |w e^w - x| without forming w e^w, which may overflow
+        residual = x * abs(w * math.exp(w - math.log(x)) - 1.0)
+    else:
+        residual = abs(w * math.exp(w) - x)
     ok = residual <= _RESIDUAL_RTOL * max(1.0, abs(x)) or (
         near_branch and residual <= _RESIDUAL_NEAR_BRANCH
     )
@@ -149,6 +159,19 @@ def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluati
             f"at x = {x!r} ({branch.value} branch)"
         )
     return WEvaluation(x, w, branch, residual, iterations)
+
+
+def _log_newton(x: float, w: float) -> tuple[float, int]:
+    """(W0(x), iterations) for large x by Newton's method on w + ln w = ln x,
+    started from w."""
+    lx = math.log(x)
+    iterations = 0
+    for iterations in range(1, _MAX_ITER + 1):
+        step = (w + math.log(w) - lx) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= 4.0 * math.ulp(w):
+            break
+    return w, iterations
 
 
 def solve_xlog(a: float, b: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> float:

@@ -18,10 +18,12 @@ classes are scanned, on the pure-Python kernel in reachcalc._core_py.  It
 owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
 
-The machine is straight-line: a program of n opcodes runs exactly n steps.
-run takes step and output caps; enumeration and search run programs at
-DEFAULT_MAX_STEPS and problem.max_bits, so they count as solutions only
-programs run accepts.  Enumeration refuses 2^max_len > DEFAULT_ENUM_BUDGET.
+The machine is straight-line: a program of n opcodes runs exactly n steps,
+and its output never shrinks.  run takes step and output caps; enumeration
+and search run programs at DEFAULT_MAX_STEPS and at the target's width, so
+a candidate stops as soon as its output outgrows the target, and they count
+as solutions only programs run accepts.  Enumeration refuses
+2^max_len > DEFAULT_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -117,7 +119,11 @@ class Program(Record):
 
 
 class Problem(Record):
-    """A target output string rho, at most max_bits long."""
+    """A target output string rho, at most max_bits long.
+
+    max_bits bounds the target only: enumeration and search run candidates
+    at the target's own width, len(target).
+    """
 
     def __init__(self, target: str, max_bits: int = DEFAULT_MAX_OUTPUT_BITS):
         if set(target) - {"0", "1"}:
@@ -200,7 +206,7 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
             f"2^{max_len} candidate strings exceed the enumeration budget {DEFAULT_ENUM_BUDGET}"
         )
     for n_opcodes in range(1, max_len // 2 + 1):
-        yield _core_py.scan_length_class(n_opcodes, problem.target, problem.max_bits)
+        yield _core_py.scan_length_class(n_opcodes, problem.target)
 
 
 def enumerate_solutions(
@@ -211,7 +217,7 @@ def enumerate_solutions(
 ) -> SolutionSet:
     """Every valid program of length <= max_len whose output equals rho.
 
-    Ordered by (length, lexicographic) and run at problem.max_bits; a
+    Ordered by (length, lexicographic) and run at the target's width; a
     program that would breach a cap is not a solution.  Raises
     ResourceExceeded when 2^max_len exceeds DEFAULT_ENUM_BUDGET.
     """
@@ -264,7 +270,7 @@ def reachability_report(
     """Per-solution reachability records for rho, sorted by descending P.
 
     The solutions are enumerate_solutions(rho, max_len, scheme=scheme), run
-    at problem.max_bits under the gate DEFAULT_ENUM_BUDGET.  Each record
+    at the target's width under the gate DEFAULT_ENUM_BUDGET.  Each record
     carries the scheme weight p_i, the entropy variation it induces, the
     branch reachability, the Landauer energy k T ln2 * h, and the
     normalized measure P_i / sum(P).  A single-program set has zero
@@ -277,27 +283,32 @@ def reachability_report(
             f"no solutions of length <= {max_len} for target {solutions.problem.target!r}"
         )
     ps = solutions.weights.probabilities
-    # Closed-form variation -p log2 p; it is 0 only for a one-program set,
-    # whose branch-limit reachability is warned about once below.
-    variations = [-p * math.log2(p) + 0.0 for p in ps]
+    # Under both schemes the solutions of one length share p_i, so each
+    # distinct weight gets one (variation, reachability, energy): at most
+    # max_len / 2 inversions of W.  The closed-form variation -p log2 p is 0
+    # only for a one-program set, whose branch-limit reachability is warned
+    # about once below.
+    per_weight: dict[float, tuple[float, float, float]] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSetWarning)
-        reaches = [reach_from_variation(h, branch) for h in variations]
-    total = math.fsum(reaches)
-    records = [
-        ReachabilityRecord(
+        for p in dict.fromkeys(ps):
+            h = -p * math.log2(p) + 0.0
+            per_weight[p] = (h, reach_from_variation(h, branch), entropy_to_work(h, temperature))
+    total = math.fsum(per_weight[p][1] for p in ps)
+    records = []
+    for prog, p in zip(solutions.programs, ps):
+        h, reach, energy = per_weight[p]
+        records.append(ReachabilityRecord(
             program_id=prog.bits,
             p_i=p,
             variation=h,
             reachability=reach,
             branch=branch,
-            energy=entropy_to_work(h, temperature),
+            energy=energy,
             temperature=temperature,
             normalized=(reach / total) if total > 0.0 else 1.0,
             degenerate=h == 0.0,
-        )
-        for prog, p, h, reach in zip(solutions.programs, ps, variations, reaches)
-    ]
+        ))
     if any(r.degenerate for r in records):
         warnings.warn(
             "deterministic solution set: reachability reported as the branch limit",

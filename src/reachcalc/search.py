@@ -126,8 +126,7 @@ class _Session:
         left = self.budget.programs - self.programs_run
         end = _core_py.class_size(n_opcodes, left + 1)  # end > left: the class outlasts the budget
         count = min(end, left)
-        hits = _core_py.class_hit_ranks(n_opcodes, self.problem.target, self.problem.max_bits,
-                                        count)
+        hits = _core_py.class_hit_ranks(n_opcodes, self.problem.target, stop=count)
         if until_hit and hits:
             count, hits = hits[0] + 1, hits[:1]
         elif count < end:
@@ -187,9 +186,9 @@ def demiurge_search(
 
     start_length picks the size class where ExhaustiveBySize scans and
     SizeDescending begins its descent; the default is the literal program's
-    class, 2*l(rho) + 2.  Programs run at the problem's output width,
-    problem.max_bits.  The trace is returned whether or not a solution
-    was found; exhausting a budget is encoded there, not raised.
+    class, 2*l(rho) + 2.  Programs run at the target's width, len(rho).
+    The trace is returned whether or not a solution was found; exhausting
+    a budget is encoded there, not raised.
     """
     problem = _as_problem(rho)
     if isinstance(policy, str):

@@ -20,6 +20,7 @@ import reachcalc
 from reachcalc import cli
 from reachcalc.formats import parse_records
 from reachcalc.machine import CORE_BACKEND, kolmogorov_upper
+from reachcalc.reachability import reach_from_variation
 
 
 def run_cli(*argv):
@@ -47,6 +48,12 @@ def test_lambertw_default_branch_is_lower(capsys):
     assert run_cli("lambertw", "--", "-0.1") == 0
     out = capsys.readouterr().out
     assert "branch: lower" in out
+
+
+def test_lambertw_near_the_float_maximum(capsys):
+    assert run_cli("lambertw", "--branch", "principal", "1.7e308") == 0
+    out = capsys.readouterr().out
+    assert "w: 703.171236451\n" in out
 
 
 def test_lambertw_domain_error_exit_code(capsys):
@@ -303,6 +310,28 @@ def test_report_degenerate_warns_on_stderr(capsys):
 def test_report_empty_set(capsys):
     assert run_cli("report", "01010101", "--max-len", "8") == 1
     assert "EmptySetError" in capsys.readouterr().err
+
+
+def test_report_inverts_w_once_per_distinct_weight(capsys, monkeypatch):
+    # All solutions of one length share their weight under both schemes, so
+    # a report up to 16 bits inverts the variation at most 16 / 2 times:
+    # once per solution length, or once in all under the uniform scheme.
+    from reachcalc import machine
+
+    calls = []
+
+    def counting(h, branch):
+        calls.append(h)
+        return reach_from_variation(h, branch)
+
+    monkeypatch.setattr(machine, "reach_from_variation", counting)
+    for target, solutions, lengths in (("0", 7, 7), ("0000", 18, 5), ("00000000", 20, 4)):
+        for scheme, most in (("lengthweighted", lengths), ("uniform", 1)):
+            calls.clear()
+            assert run_cli("report", target, "--max-len", "16", "--scheme", scheme,
+                           "--format", "records") == 0
+            assert len(capsys.readouterr().out.splitlines()) == solutions
+            assert len(calls) == most <= 8, (target, scheme)
 
 
 def test_report_principal_branch(capsys):

