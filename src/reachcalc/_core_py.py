@@ -3,8 +3,10 @@ length-class scan and the target-prefix walk.
 
 This module owns the encoding (the opcode table _OPCODES, HALT, the rank
 order) and the length class: its size, its rank order and the step cap
-DEFAULT_MAX_STEPS.  reachcalc.machine and reachcalc.search call these
-directly.  Programs arriving here are validated (even, terminal HALT only).
+DEFAULT_MAX_STEPS.  The machine is straight-line, so a program of n opcodes
+runs exactly n steps and the step cap bounds the opcode count.
+reachcalc.machine and reachcalc.search call these directly.  Programs
+arriving here are validated (even, terminal HALT only).
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -16,53 +18,38 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-OK = 0
-STEP_CAP = 1
-OUTPUT_CAP = 2
-
 _OPCODES = ("00", "01", "10")  # emit0, emit1, double, in rank order
 HALT = "11"
 DEFAULT_MAX_STEPS = 10_000
 
 
-def run_bits(bits: str, max_steps: int, max_output_bits: int) -> tuple[int, str | None]:
-    """Execute a validated program; (status, output) with status 0 on success."""
-    out: list[str] = []
-    steps = 0
-    for i in range(0, len(bits), 2):
-        steps += 1
-        if steps > max_steps:
-            return STEP_CAP, None
-        op = bits[i : i + 2]
-        if op == "00":
-            if len(out) + 1 > max_output_bits:
-                return OUTPUT_CAP, None
-            out.append("0")
-        elif op == "01":
-            if len(out) + 1 > max_output_bits:
-                return OUTPUT_CAP, None
-            out.append("1")
-        elif op == "10":
-            if out:
-                if 2 * len(out) > max_output_bits:
-                    return OUTPUT_CAP, None
-                out.extend(out)
-        else:  # HALT
-            break
-    return OK, "".join(out)
+def run_bits(bits: str, width: int) -> str | None:
+    """The output of a validated program, or None once it outgrows width bits.
+
+    It runs the opcodes before the final HALT in order and counts no steps:
+    a program's step count is its opcode count, which callers check against
+    DEFAULT_MAX_STEPS beforehand.
+    """
+    out = ""
+    for i in range(0, len(bits) - 2, 2):
+        # Only the double (10) starts with 1 before the HALT, and an emit
+        # opcode's second bit is the bit it emits.
+        out = out + out if bits[i] == "1" else out + bits[i + 1]
+        if len(out) > width:
+            return None
+    return out
 
 
 def scan_length_class(n_opcodes: int, target: str) -> list[str]:
     """All valid programs of exactly n_opcodes opcodes printing `target`,
     in rank order.
 
-    Every candidate runs at DEFAULT_MAX_STEPS and at the target's width:
-    the output only grows, so a program stopped for outgrowing the target
-    could never have printed it.
+    Every candidate runs at the target's width: the output only grows, so a
+    program stopped for outgrowing the target could never have printed it.
+    The enumeration budget keeps n_opcodes far below DEFAULT_MAX_STEPS.
     """
     width = len(target)
-    return [bits for bits in iter_valid_programs(n_opcodes)
-            if run_bits(bits, DEFAULT_MAX_STEPS, width) == (OK, target)]
+    return [bits for bits in iter_valid_programs(n_opcodes) if run_bits(bits, width) == target]
 
 
 def iter_valid_programs(n_opcodes: int) -> Iterator[str]:
@@ -96,8 +83,8 @@ def rank_bits(n_opcodes: int, rank: int) -> str:
 
 
 def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> list[int]:
-    """Ascending ranks of the programs of n_opcodes opcodes that print `target`
-    within DEFAULT_MAX_STEPS, only those below `stop` when it is given.
+    """Ascending ranks of the programs of n_opcodes <= DEFAULT_MAX_STEPS
+    opcodes that print `target`, only those below `stop` when it is given.
 
     The output only grows, so a program hits only if its output stays a
     prefix of the target at every step.  The walk tracks the prefix length
@@ -106,7 +93,7 @@ def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> 
     """
     size = len(target)
     if not 1 <= n_opcodes <= DEFAULT_MAX_STEPS:
-        return []  # no such class, or run_bits stops all of it at the step cap
+        return []  # no such class, or its programs run past the step cap
     hits: list[int] = []
     # (prefix length, rank of the opcodes taken, free opcodes left); a node's
     # subtree holds the ranks rank * 3**left up to the next multiple.

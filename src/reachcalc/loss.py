@@ -88,13 +88,19 @@ def convexity_certificate(
     """Certify convexity of f on [lo, hi] by second central differences.
 
     Checks f(x-step) - 2 f(x) + f(x+step) >= -tol at every interior grid
-    point.  The defaults cover [-1/e + 1e-3, 10] at step 1e-2.
+    point.  The defaults cover [-1/e + 1e-3, 10] at step 1e-2.  Raises
+    DomainError for a non-finite argument, for a step too small to move x
+    (below the float spacing at the grid's far end) and for a grid with no
+    interior point.
     """
-    if not (BRANCH_POINT <= lo < hi) or step <= 0.0:
-        raise DomainError(f"bad certificate grid: lo={lo!r} hi={hi!r} step={step!r}")
+    finite = all(map(math.isfinite, (lo, hi, step, tol)))
+    if not (finite and BRANCH_POINT <= lo < hi and step >= math.ulp(max(abs(lo), abs(hi)))):
+        raise DomainError(f"bad certificate grid: lo={lo!r} hi={hi!r} step={step!r} tol={tol!r}")
     worst = math.inf
     points = 0
     x = lo + step
+    if x + step > hi + step * 1e-9:
+        raise DomainError(f"no interior grid point in [{lo!r}, {hi!r}] at step {step!r}")
     while x + step <= hi + step * 1e-9:
         d2 = f_exp_negw(x - step) - 2.0 * f_exp_negw(x) + f_exp_negw(x + step)
         worst = min(worst, d2)

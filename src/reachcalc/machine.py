@@ -19,9 +19,10 @@ owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
-and its output never shrinks.  run takes step and output caps; enumeration
-and search run programs at DEFAULT_MAX_STEPS and at the target's width, so
-a candidate stops as soon as its output outgrows the target, and they count
+and its output never shrinks.  So the step cap is a bound on the opcode
+count, which run checks before it runs a program; run also takes an output
+cap.  Enumeration and search run programs at the target's width, so a
+candidate stops as soon as its output outgrows the target, and they count
 as solutions only programs run accepts.  Enumeration refuses
 2^max_len > DEFAULT_ENUM_BUDGET.
 """
@@ -166,27 +167,20 @@ def _as_problem(rho: Problem | str) -> Problem:
     return rho if isinstance(rho, Problem) else Problem(rho)
 
 
-def run(
-    program: Program | str,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS,
-) -> str:
+def run(program: Program | str, *, max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS) -> str:
     """Execute a program and return its output bits.
 
-    Raises InvalidProgram for malformed bit strings and ResourceExceeded
-    when the step or output cap is breached.
+    Raises InvalidProgram for malformed bit strings, and ResourceExceeded
+    for a program of more than DEFAULT_MAX_STEPS opcodes (one step each)
+    or one whose output outgrows max_output_bits.
     """
     prog = program if isinstance(program, Program) else Program(program)
-    if max_steps < 1 or max_output_bits < 1:
-        raise DomainError(
-            f"limits must be positive, got max_steps={max_steps!r} "
-            f"max_output_bits={max_output_bits!r}"
-        )
-    status, out = _core_py.run_bits(prog.bits, max_steps, max_output_bits)
-    if status == _core_py.STEP_CAP:
-        raise ResourceExceeded(f"step cap {max_steps} breached by {prog.bits!r}")
-    if status == _core_py.OUTPUT_CAP:
+    if max_output_bits < 1:
+        raise DomainError(f"max_output_bits must be positive, got {max_output_bits!r}")
+    if prog.opcode_count > DEFAULT_MAX_STEPS:
+        raise ResourceExceeded(f"step cap {DEFAULT_MAX_STEPS} breached by {prog.bits!r}")
+    out = _core_py.run_bits(prog.bits, max_output_bits)
+    if out is None:
         raise ResourceExceeded(f"output cap {max_output_bits} bits breached by {prog.bits!r}")
     return out
 
@@ -221,6 +215,7 @@ def enumerate_solutions(
     program that would breach a cap is not a solution.  Raises
     ResourceExceeded when 2^max_len exceeds DEFAULT_ENUM_BUDGET.
     """
+    _check_scheme(scheme)
     problem = _as_problem(rho)
     programs = tuple(Program(bits) for hits in _class_hits(problem, max_len) for bits in hits)
     weights = _distribution_for(programs, scheme) if programs else None
@@ -241,19 +236,23 @@ def kolmogorov_upper(rho: Problem | str, max_len: int = DEFAULT_MAX_LEN) -> Comp
     return None
 
 
+def _check_scheme(scheme: Scheme) -> None:
+    if not isinstance(scheme, Scheme):
+        raise DomainError(f"unknown scheme {scheme!r}")
+
+
 def _distribution_for(programs: tuple[Program, ...], scheme: Scheme) -> FiniteDistribution:
     m = len(programs)
     if scheme is Scheme.UNIFORM:
         return FiniteDistribution([1.0 / m] * m)
-    if scheme is Scheme.LENGTH_WEIGHTED:
-        raw = [2.0 ** -p.length for p in programs]
-        total = math.fsum(raw)
-        return FiniteDistribution([r / total for r in raw])
-    raise DomainError(f"unknown scheme {scheme!r}")
+    raw = [2.0 ** -p.length for p in programs]  # Scheme.LENGTH_WEIGHTED
+    total = math.fsum(raw)
+    return FiniteDistribution([r / total for r in raw])
 
 
 def solution_distribution(solutions: SolutionSet, scheme: Scheme) -> FiniteDistribution:
     """Weights over a solution set: uniform, or proportional to 2^-length."""
+    _check_scheme(scheme)
     if not solutions.programs:
         raise EmptySetError("cannot weight an empty solution set")
     return _distribution_for(solutions.programs, scheme)

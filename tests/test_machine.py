@@ -110,17 +110,36 @@ def test_run_output_cap():
     with pytest.raises(ResourceExceeded):
         run(wide)
     assert run(wide, max_output_bits=128) == "0" * 128
-    assert run(wide, max_output_bits=128, max_steps=9) == "0" * 128
+    with pytest.raises(ResourceExceeded, match="output cap 127 bits breached"):
+        run(wide, max_output_bits=127)
+    with pytest.raises(DomainError, match="max_output_bits must be positive"):
+        run("0011", max_output_bits=0)
 
 
 def test_run_step_cap():
-    with pytest.raises(ResourceExceeded):
+    # A program of n opcodes runs exactly n steps: the cap bounds its length.
+    n = DEFAULT_MAX_STEPS
+    assert run("10" * (n - 2) + "0011") == "0"
+    with pytest.raises(ResourceExceeded, match=f"step cap {n} breached"):
+        run("10" * (n - 1) + "0011")
+    # run checks the length before it runs, so a program over both caps
+    # reports the step cap.
+    with pytest.raises(ResourceExceeded, match=f"step cap {n} breached"):
+        run("00" * n + "11")
+
+
+def test_run_takes_no_step_cap():
+    with pytest.raises(TypeError):
         run("0011", max_steps=1)
-    assert run("0011", max_steps=2) == "0"
-    with pytest.raises(DomainError):
-        run("0011", max_steps=0)
-    with pytest.raises(DomainError):
-        run("0011", max_output_bits=0)
+
+
+def test_run_bits_matches_the_independent_interpreter_at_every_width():
+    for n in range(1, 9):
+        for bits in iter_valid_programs(n):
+            for width in (*range(11), 64):
+                assert _core_py.run_bits(bits, width) == oracles.oracle_run(
+                    bits, max_output_bits=width
+                ), (bits, width)
 
 
 @given(program_bits)
@@ -242,6 +261,14 @@ def test_enumerate_budget():
 def test_enumerate_rejects_a_scheme_that_is_not_a_scheme():
     with pytest.raises(DomainError, match="unknown scheme"):
         enumerate_solutions("0", 4, scheme="uniform")
+
+
+def test_an_unknown_scheme_is_rejected_when_there_are_no_solutions():
+    assert not enumerate_solutions("1111111", 4).programs
+    with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
+        enumerate_solutions("1111111", 4, scheme="bogus")
+    with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
+        reachability_report("1111111", 4, scheme="bogus")
 
 
 def test_enumerate_agrees_with_all_strings_oracle():
@@ -378,6 +405,13 @@ def test_solution_distribution_rejects_empty():
     s = enumerate_solutions("01010101", 8)
     with pytest.raises(EmptySetError):
         solution_distribution(s, Scheme.UNIFORM)
+
+
+def test_solution_distribution_rejects_an_unknown_scheme():
+    for rho in ("0", "01010101"):  # a set with solutions, and an empty one
+        s = enumerate_solutions(rho, 8)
+        with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
+            solution_distribution(s, "bogus")
 
 
 # --------------------------------------------------------------------- reports

@@ -1,0 +1,54 @@
+"""The source distribution: what `pyproject.toml` packs and the script it declares.
+
+The build runs on a copy of the project files in a temporary directory, so
+that no egg-info lands in the tree, and in a child process with a timeout.
+It calls the setuptools backend directly, so no pip and no network are
+involved.  It does not check the `setuptools>=68` floor of `pyproject.toml`:
+the backend is whichever setuptools is installed.  No wheel is built.
+"""
+
+import configparser
+import shutil
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "reachcalc"
+
+METADATA = {
+    "PKG-INFO",
+    "README.md",
+    "pyproject.toml",
+    "setup.cfg",
+    *(f"src/reachcalc.egg-info/{name}" for name in (
+        "PKG-INFO", "SOURCES.txt", "dependency_links.txt", "entry_points.txt",
+        "requires.txt", "top_level.txt")),
+}
+
+
+def test_sdist_holds_the_package_modules_and_declares_the_script(tmp_path):
+    project = tmp_path / "project"
+    shutil.copytree(ROOT / "src", project / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, project / name)
+    code = ("import sys\n"
+            "from setuptools import build_meta\n"
+            "print(build_meta.build_sdist(sys.argv[1]))\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "dist")], cwd=project,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    archive = tmp_path / "dist" / done.stdout.splitlines()[-1]
+
+    with tarfile.open(archive) as tar:
+        root = archive.name.removesuffix(".tar.gz")
+        files = {m.name.removeprefix(root + "/") for m in tar.getmembers() if m.isfile()}
+        entry_points = tar.extractfile(f"{root}/src/reachcalc.egg-info/entry_points.txt")
+        scripts = configparser.ConfigParser()
+        scripts.read_string(entry_points.read().decode())
+
+    modules = {f"src/reachcalc/{path.name}" for path in PACKAGE.glob("*.py")}
+    assert files == modules | METADATA
+    assert dict(scripts["console_scripts"]) == {"reachcalc": "reachcalc.cli:main"}
