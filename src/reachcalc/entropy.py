@@ -127,7 +127,8 @@ class ThermoEntropy(Record):
 
 def microstate_entropy(microstate_count: int) -> float:
     """Boltzmann entropy of d equally likely microstates: k ln(d), in J/K."""
-    if isinstance(microstate_count, bool) or microstate_count != int(microstate_count):
+    nonfinite = isinstance(microstate_count, float) and not math.isfinite(microstate_count)
+    if isinstance(microstate_count, bool) or nonfinite or microstate_count != int(microstate_count):
         raise DomainError(f"microstate count must be a positive integer, got {microstate_count!r}")
     if microstate_count < 1:
         raise DomainError(f"microstate count must be >= 1, got {microstate_count!r}")

@@ -106,16 +106,16 @@ def reach_from_energy(
 def normalize(records: Iterable[ReachabilityRecord | float]) -> list[float]:
     """Scale reachabilities to a probability measure P_i / sum(P).
 
-    Accepts ReachabilityRecord objects or bare reachability values.  The
-    argmax is unchanged by the positive scaling.
+    Accepts ReachabilityRecord objects or bare reachability values, each a
+    probability in (0, 1].  The argmax is unchanged by the positive scaling.
     """
     items = list(records)
     if not items:
         raise EmptySetError("cannot normalize an empty solution set")
     values = [it.reachability if isinstance(it, ReachabilityRecord) else float(it) for it in items]
     for v in values:
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"all reachabilities must be finite and > 0, got {v!r}")
+        if not 0.0 < v <= 1.0:
+            raise DomainError(f"all reachabilities must lie in (0, 1], got {v!r}")
     total = math.fsum(values)
     return [v / total for v in values]
 

@@ -33,7 +33,7 @@ from itertools import islice
 from . import _core_py  # reachbench/layers.py wraps search._core_py
 from ._record import Record
 from .entropy import _landauer_unit, entropy_to_work
-from .errors import DomainError, InvalidPolicy
+from .errors import DomainError, InvalidPolicy, ResourceExceeded
 from .machine import (
     DEFAULT_MAX_LEN,
     Problem,
@@ -121,8 +121,12 @@ class _Session:
         end of the class; in both cases at the end of the program budget,
         which then counts as exhausted if the class had programs left.  The
         hits come from the target-prefix walk; the misses are only counted.
+        A class whose programs run past the step cap raises ResourceExceeded.
         """
         n_opcodes = size // 2
+        if n_opcodes > _core_py.DEFAULT_MAX_STEPS:
+            raise ResourceExceeded(
+                f"step cap {_core_py.DEFAULT_MAX_STEPS} breached by every program of {size} bits")
         left = self.budget.programs - self.programs_run
         end = _core_py.class_size(n_opcodes, left + 1)  # end > left: the class outlasts the budget
         count = min(end, left)
@@ -188,7 +192,8 @@ def demiurge_search(
     SizeDescending begins its descent; the default is the literal program's
     class, 2*l(rho) + 2.  Programs run at the target's width, len(rho).
     The trace is returned whether or not a solution was found; exhausting
-    a budget is encoded there, not raised.
+    a budget is encoded there, not raised.  A start class past the step
+    cap, 2 * DEFAULT_MAX_STEPS bits, raises ResourceExceeded.
     """
     problem = _as_problem(rho)
     if isinstance(policy, str):

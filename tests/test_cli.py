@@ -406,18 +406,30 @@ def test_search_start_length(capsys):
 
 
 def test_search_start_length_far_above_the_budget():
-    """A class of 3^(10^8 - 1) programs is counted only up to the budget; a
-    fresh interpreter with a timeout, so a regression fails instead of hanging."""
+    """A class of 10^8 opcodes runs past the step cap, so search exits 2
+    before it counts a program; a fresh interpreter with a timeout, so a
+    regression fails instead of hanging."""
     env = dict(os.environ, PYTHONPATH=str(Path(reachcalc.__file__).parent.parent))
     out = subprocess.run(
         [sys.executable, "-m", "reachcalc.cli", "search", "0", "--start-length", "200000000"],
         capture_output=True, text=True, env=env, timeout=10,
     )
-    assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout == (
-        "policy: sizedescending\nprograms_run: 100000\nbest_found: none\nbest_length: none\n"
-        "bits_reduced: 0\nenergy_charged: 0\ntemperature: 300\nbudget_exhausted: true\n"
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "ResourceExceeded: step cap 10000 breached by every program of 200000000 bits\n"
     )
+
+
+@pytest.mark.parametrize("policy", ["exhaustive-by-size", "size-descending"])
+def test_search_start_length_at_the_step_cap(capsys, policy):
+    # 10,000 opcodes is the longest program the machine runs; 10,001 is refused.
+    argv = ("search", "0", "--policy", policy, "--budget-programs", "1")
+    assert run_cli(*argv, "--start-length", "20000", "--format", "records") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"program={'00' * 9999}11 length=20000 outcome=miss"
+    assert run_cli(*argv, "--start-length", "20002") == 2
+    assert capsys.readouterr() == (
+        "", "ResourceExceeded: step cap 10000 breached by every program of 20002 bits\n")
 
 
 # ------------------------------------------------------------------------ loss

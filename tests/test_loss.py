@@ -1,16 +1,12 @@
 """Tests for the convex link f(z) = exp(-W0(z)) and its matching loss."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reachcalc
+from reachcalc import loss
 from reachcalc.errors import DomainError
 from reachcalc.lambertw import BRANCH_POINT, BranchChoice, eval_w
 from reachcalc.loss import (
@@ -142,60 +138,28 @@ def test_convexity_certificate_default_grid():
     assert cert.step == 0.01
 
 
-def test_convexity_certificate_custom_grid():
-    cert = convexity_certificate(lo=0.0, hi=1.0, step=0.05, tol=1e-8)
-    assert cert.ok
-    assert cert.points == 19
+def test_convexity_certificate_takes_no_grid():
+    # The grid is fixed: each former keyword, and any positional value, is refused.
+    for keyword in ("lo", "hi", "step", "tol"):
+        with pytest.raises(TypeError):
+            convexity_certificate(**{keyword: 1.0})
+    with pytest.raises(TypeError):
+        convexity_certificate(1.0)
 
 
-def test_convexity_certificate_validation():
-    with pytest.raises(DomainError):
-        convexity_certificate(lo=BRANCH_POINT - 0.1)
-    with pytest.raises(DomainError):
-        convexity_certificate(lo=1.0, hi=0.5)
-    with pytest.raises(DomainError):
-        convexity_certificate(step=0.0)
+def test_convexity_certificate_evaluates_f_once_per_grid_point(monkeypatch):
+    want = convexity_certificate()
+    calls = []
 
+    def counted(z):
+        calls.append(z)
+        return f_exp_negw(z)
 
-def test_convexity_certificate_rejects_a_nan_step():
-    with pytest.raises(DomainError):
-        convexity_certificate(step=math.nan)
-
-
-def test_convexity_certificate_rejects_a_nan_tolerance():
-    with pytest.raises(DomainError):
-        convexity_certificate(tol=math.nan)
-
-
-def test_convexity_certificate_rejects_a_grid_with_no_interior_point():
-    with pytest.raises(DomainError, match="no interior grid point"):
-        convexity_certificate(lo=0.0, hi=0.5, step=1.0)
-    assert convexity_certificate(lo=0.0, hi=1.0, step=0.5).points == 1
-
-
-def _certificate_error_in_subprocess(call: str) -> str:
-    """Run convexity_certificate(call) in a child with a timeout, so that a
-    grid that never ends fails the test instead of hanging it; returns the
-    name of the error it raised."""
-    code = ("import math\n"
-            "from reachcalc.loss import convexity_certificate\n"
-            "try:\n"
-            f"    convexity_certificate({call})\n"
-            "except Exception as exc:\n"
-            "    print(type(exc).__name__)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(reachcalc.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    return done.stdout.strip()
-
-
-def test_convexity_certificate_rejects_an_infinite_grid():
-    assert _certificate_error_in_subprocess("hi=math.inf") == "DomainError"
-
-
-def test_convexity_certificate_rejects_a_step_that_cannot_move_x():
-    # 1.0 + 1e-17 == 1.0, so x += step would never reach hi.
-    assert _certificate_error_in_subprocess("lo=1.0, hi=2.0, step=1e-17") == "DomainError"
+    monkeypatch.setattr(loss, "f_exp_negw", counted)
+    assert convexity_certificate() == want
+    # f(x - step) and f(x + step) at each of the 1,035 points, plus f(x) at
+    # the first: every later f(x) is the previous point's f(x + step).
+    assert len(calls) == 2 * 1035 + 1
 
 
 # --------------------------------------------------------------------- inverse

@@ -185,6 +185,12 @@ def test_normalize_rejects_empty_and_nonpositive():
         normalize([0.5, -0.5])
     with pytest.raises(DomainError):
         normalize([0.5, math.inf])
+    # A reachability is a probability: above 1 is out of domain, and two
+    # values near the float maximum would overflow the sum.
+    with pytest.raises(DomainError):
+        normalize([0.5, 1.5])
+    with pytest.raises(DomainError):
+        normalize([1e308, 1e308])
 
 
 @given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=20))

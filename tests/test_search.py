@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachcalc.entropy import BOLTZMANN_K, LN2, entropy_to_work
-from reachcalc.errors import DomainError, InvalidPolicy
+from reachcalc.errors import DomainError, InvalidPolicy, ResourceExceeded
 from reachcalc.machine import Problem, enumerate_solutions, kolmogorov_upper, run
 from reachcalc.search import Budget, SearchPolicy, SearchTrace, demiurge_search
 
@@ -141,9 +141,10 @@ def test_program_budget_stops_the_search():
     assert trace.programs_run == 5
     assert trace.best_found.bits == "00001011"  # found before the cutoff
     assert trace.bits_reduced == 2
-    # Class 10^8 holds 3^(10^8 - 1) programs; the scan counts only the budget's.
-    far = demiurge_search("0", "size-descending", start_length=2 * 10**8)
-    assert (far.programs_run, far.best_found, far.budget_exhausted) == (100_000, None, True)
+    # Every program of 10^8 opcodes runs past the step cap, so the search
+    # refuses the class before it counts any of them as run.
+    with pytest.raises(ResourceExceeded, match="every program of 200000000 bits"):
+        demiurge_search("0", "size-descending", start_length=2 * 10**8)
 
 
 def test_energy_budget_blocks_the_reduction():
