@@ -4,7 +4,8 @@ length-class scan and the target-prefix walk.
 This module owns the encoding (the opcode table _OPCODES, HALT, the rank
 order) and the length class: its size, its rank order and the step cap
 DEFAULT_MAX_STEPS.  The machine is straight-line, so a program of n opcodes
-runs exactly n steps and the step cap bounds the opcode count.
+runs exactly n steps and the step cap bounds the opcode count;
+check_step_cap is the one place that checks it.
 reachcalc.machine and reachcalc.search call these directly.  Programs
 arriving here are validated (even, terminal HALT only).
 
@@ -18,9 +19,20 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
+from .errors import ResourceExceeded
+
 _OPCODES = ("00", "01", "10")  # emit0, emit1, double, in rank order
 HALT = "11"
 DEFAULT_MAX_STEPS = 10_000
+
+
+def check_step_cap(n_opcodes: int, program: str | None = None) -> None:
+    """Raise ResourceExceeded if programs of n_opcodes opcodes run more than
+    DEFAULT_MAX_STEPS steps; the message names the program when it is given,
+    else its whole length class."""
+    if n_opcodes > DEFAULT_MAX_STEPS:
+        culprit = f"every program of {2 * n_opcodes} bits" if program is None else repr(program)
+        raise ResourceExceeded(f"step cap {DEFAULT_MAX_STEPS} breached by {culprit}")
 
 
 def run_bits(bits: str, width: int) -> str | None:
@@ -28,7 +40,7 @@ def run_bits(bits: str, width: int) -> str | None:
 
     It runs the opcodes before the final HALT in order and counts no steps:
     a program's step count is its opcode count, which callers check against
-    DEFAULT_MAX_STEPS beforehand.
+    DEFAULT_MAX_STEPS beforehand with check_step_cap.
     """
     out = ""
     for i in range(0, len(bits) - 2, 2):
@@ -83,8 +95,9 @@ def rank_bits(n_opcodes: int, rank: int) -> str:
 
 
 def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> list[int]:
-    """Ascending ranks of the programs of n_opcodes <= DEFAULT_MAX_STEPS
-    opcodes that print `target`, only those below `stop` when it is given.
+    """Ascending ranks of the programs of n_opcodes opcodes that print
+    `target`, only those below `stop` when it is given.  A class past the
+    step cap raises ResourceExceeded.
 
     The output only grows, so a program hits only if its output stays a
     prefix of the target at every step.  The walk tracks the prefix length
@@ -92,8 +105,9 @@ def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> 
     class costs its hits, not its 3**(n_opcodes - 1) candidates.
     """
     size = len(target)
-    if not 1 <= n_opcodes <= DEFAULT_MAX_STEPS:
-        return []  # no such class, or its programs run past the step cap
+    check_step_cap(n_opcodes)
+    if n_opcodes < 1:
+        return []
     hits: list[int] = []
     # (prefix length, rank of the opcodes taken, free opcodes left); a node's
     # subtree holds the ranks rank * 3**left up to the next multiple.

@@ -6,6 +6,15 @@ identical invocations.  Exit codes: 0 success, 1 domain error, 2 resource
 or budget error, 3 usage error.  Each warning a command raises is written
 to stderr as one ``warning: <message>`` line.
 
+Every command prints through ``_write``.  A table shows ``name: value``
+lines, then rows as aligned columns (``report`` puts a title line first).
+Records and csv show the rows, or a scalar result as one row.  ``search
+--format table`` prints only the summary; a ``solve`` with no solution
+prints its header in a table and nothing in records or csv.  An argument
+the command would ignore is a usage error, like a target given both inline
+and by --input: ``lambertw X`` or ``reach --variation``/``--energy`` with
+``--curve``, and ``loss Z_HAT Z`` with ``--convexity-grid``.
+
 ``main`` parses with one parser per process, built by ``build_parser`` on the
 first call and shared by every later in-process call; ``build_parser`` itself
 returns a fresh parser each time.
@@ -18,7 +27,6 @@ import functools
 import math
 import sys
 import warnings
-from collections.abc import Iterable
 
 from . import __version__
 from .entropy import entropy_to_work, work_to_entropy
@@ -61,25 +69,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(rows: Iterable[dict], keys: tuple[str, ...], fmt: str) -> None:
-    if fmt == "records":
-        sys.stdout.write(records_text(rows, keys))
-    elif fmt == "csv":
-        sys.stdout.write(csv_text(rows, keys))
-    else:
-        sys.stdout.write(table_text(rows, keys))
-
-
-def _write_fields(fields: list[tuple[str, object]]) -> None:
-    for k, v in fields:
-        sys.stdout.write(f"{k}: {format_value(v)}\n")
-
-
-def _scalar(fields: list[tuple[str, object]], fmt: str) -> None:
+def _write(fmt: str, fields=(), keys: tuple[str, ...] = (), rows=None) -> None:
+    """Print fields and rows in fmt by the rule of the module docstring; the
+    fields make the one row when rows is None, and an empty row list prints
+    nothing.  The text functions are looked up at call time, where
+    reachbench/layers.py wraps them."""
     if fmt == "table":
-        _write_fields(fields)
-    else:
-        _emit([dict(fields)], tuple(k for k, _ in fields), fmt)
+        for k, v in fields:
+            sys.stdout.write(f"{k}: {format_value(v)}\n")
+        if rows:
+            sys.stdout.write(table_text(rows, keys))
+        return
+    if rows is None:
+        rows, keys = [dict(fields)], tuple(k for k, _ in fields)
+    if rows:
+        sys.stdout.write((records_text if fmt == "records" else csv_text)(rows, keys))
 
 
 def _curve(curve: list[str]) -> tuple[float, float, int]:
@@ -116,32 +120,34 @@ def _add_target(sub) -> None:
 def _cmd_lambertw(args) -> int:
     branch = BranchChoice(args.branch)
     if args.curve:
+        if args.x is not None:
+            raise _UsageError("give lambertw either an argument x or --curve, not both")
         lo, hi, n = _curve(args.curve)
-        rows = [{"x": x, "w": w} for x, w in w_curve(lo, hi, n, branch)]
-        _emit(rows, ("x", "w"), args.format)
+        _write(args.format, keys=("x", "w"),
+               rows=[{"x": x, "w": w} for x, w in w_curve(lo, hi, n, branch)])
         return 0
     if args.x is None:
         raise _UsageError("lambertw needs an argument x or --curve lo hi n")
     ev = eval_w(args.x, branch)
-    _scalar(
-        [
-            ("x", ev.argument),
-            ("branch", ev.branch.value),
-            ("w", ev.value),
-            ("residual", ev.residual),
-            ("iterations", ev.iterations),
-        ],
-        args.format,
-    )
+    _write(args.format, [
+        ("x", ev.argument),
+        ("branch", ev.branch.value),
+        ("w", ev.value),
+        ("residual", ev.residual),
+        ("iterations", ev.iterations),
+    ])
     return 0
 
 
 def _cmd_reach(args) -> int:
     branch = BranchChoice(args.branch)
     if args.curve:
+        if args.variation is not None or args.energy is not None:
+            raise _UsageError("give reach either --variation/--energy or --curve, not both")
         lo, hi, n = _curve(args.curve)
-        rows = [{"variation": h, "reachability": p} for h, p in reach_curve(lo, hi, n, branch)]
-        _emit(rows, ("variation", "reachability"), args.format)
+        _write(args.format, keys=("variation", "reachability"), rows=[
+            {"variation": h, "reachability": p} for h, p in reach_curve(lo, hi, n, branch)
+        ])
         return 0
     if (args.variation is None) == (args.energy is None):
         raise _UsageError("reach needs exactly one of --variation or --energy (or --curve)")
@@ -153,16 +159,13 @@ def _cmd_reach(args) -> int:
         p = reach_from_energy(args.energy, args.temp, branch)
         energy = args.energy
         h = work_to_entropy(energy, args.temp)
-    _scalar(
-        [
-            ("variation", h),
-            ("reachability", p),
-            ("branch", branch.value),
-            ("energy", energy),
-            ("temperature", args.temp),
-        ],
-        args.format,
-    )
+    _write(args.format, [
+        ("variation", h),
+        ("reachability", p),
+        ("branch", branch.value),
+        ("energy", energy),
+        ("temperature", args.temp),
+    ])
     return 0
 
 
@@ -179,14 +182,11 @@ def _cmd_solve(args) -> int:
         ("k_upper", first.length if first else "none"),
         ("witness", first.bits if first else "none"),
     ]
-    if args.format == "table":
-        _write_fields(header)
     rows = [
         {"program": prog.bits, "length": prog.length, "p": solutions.weights[i]}
         for i, prog in enumerate(solutions.programs)
     ]
-    if rows:
-        _emit(rows, SOLUTION_KEYS, args.format)
+    _write(args.format, header, SOLUTION_KEYS, rows)
     return 0
 
 
@@ -211,14 +211,14 @@ def _cmd_report(args) -> int:
         }
         for r in records
     ]
+    keys = REPORT_KEYS
     if args.format == "table":
         sys.stdout.write(
             f"target: {target!r}  branch: {args.branch}  scheme: {args.scheme}  "
             f"T: {format_value(args.temp)} K\n"
         )
-        _emit(rows, REPORT_KEYS + ("normalized",), "table")
-    else:
-        _emit(rows, REPORT_KEYS, args.format)
+        keys += ("normalized",)
+    _write(args.format, keys=keys, rows=rows)
     return 0
 
 
@@ -243,45 +243,39 @@ def _cmd_search(args) -> int:
         ("temperature", trace.temperature),
         ("budget_exhausted", trace.budget_exhausted),
     ]
-    if args.format == "table":
-        _write_fields(summary)
-        return 0
-    rows = (
+    # A table prints only the summary; records and csv print every step.
+    rows = None if args.format == "table" else (
         {"program": bits, "length": len(bits), "outcome": outcome}
         for bits, outcome in trace.iter_steps()
     )
-    _emit(rows, TRACE_KEYS, args.format)
+    _write(args.format, summary, TRACE_KEYS, rows)
     return 0
 
 
 def _cmd_loss(args) -> int:
     if args.convexity_grid:
+        if args.z_hat is not None:
+            raise _UsageError("give loss either z_hat and z or --convexity-grid, not both")
         cert = convexity_certificate()
-        _scalar(
-            [
-                ("convex", cert.ok),
-                ("min_second_difference", cert.min_second_difference),
-                ("points", cert.points),
-                ("lo", cert.lo),
-                ("hi", cert.hi),
-                ("step", cert.step),
-            ],
-            args.format,
-        )
+        _write(args.format, [
+            ("convex", cert.ok),
+            ("min_second_difference", cert.min_second_difference),
+            ("points", cert.points),
+            ("lo", cert.lo),
+            ("hi", cert.hi),
+            ("step", cert.step),
+        ])
         return 0 if cert.ok else _EXIT_DOMAIN
     if args.z_hat is None or args.z is None:
         raise _UsageError("loss needs z_hat and z (or --convexity-grid)")
     ev = matching_loss(args.z_hat, args.z)
-    _scalar(
-        [
-            ("z_hat", ev.z_hat),
-            ("z", ev.z),
-            ("f_z_hat", ev.f_z_hat),
-            ("f_z", ev.f_z),
-            ("divergence", ev.divergence),
-        ],
-        args.format,
-    )
+    _write(args.format, [
+        ("z_hat", ev.z_hat),
+        ("z", ev.z),
+        ("f_z_hat", ev.f_z_hat),
+        ("f_z", ev.f_z),
+        ("divergence", ev.divergence),
+    ])
     return 0
 
 

@@ -177,8 +177,7 @@ def run(program: Program | str, *, max_output_bits: int = DEFAULT_MAX_OUTPUT_BIT
     prog = program if isinstance(program, Program) else Program(program)
     if max_output_bits < 1:
         raise DomainError(f"max_output_bits must be positive, got {max_output_bits!r}")
-    if prog.opcode_count > DEFAULT_MAX_STEPS:
-        raise ResourceExceeded(f"step cap {DEFAULT_MAX_STEPS} breached by {prog.bits!r}")
+    _core_py.check_step_cap(prog.opcode_count, prog.bits)
     out = _core_py.run_bits(prog.bits, max_output_bits)
     if out is None:
         raise ResourceExceeded(f"output cap {max_output_bits} bits breached by {prog.bits!r}")

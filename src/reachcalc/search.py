@@ -33,7 +33,7 @@ from itertools import islice
 from . import _core_py  # reachbench/layers.py wraps search._core_py
 from ._record import Record
 from .entropy import _landauer_unit, entropy_to_work
-from .errors import DomainError, InvalidPolicy, ResourceExceeded
+from .errors import DomainError, InvalidPolicy
 from .machine import (
     DEFAULT_MAX_LEN,
     Problem,
@@ -124,9 +124,7 @@ class _Session:
         A class whose programs run past the step cap raises ResourceExceeded.
         """
         n_opcodes = size // 2
-        if n_opcodes > _core_py.DEFAULT_MAX_STEPS:
-            raise ResourceExceeded(
-                f"step cap {_core_py.DEFAULT_MAX_STEPS} breached by every program of {size} bits")
+        _core_py.check_step_cap(n_opcodes)
         left = self.budget.programs - self.programs_run
         end = _core_py.class_size(n_opcodes, left + 1)  # end > left: the class outlasts the budget
         count = min(end, left)

@@ -515,6 +515,29 @@ def test_non_numeric_argument_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lambertw", "0.5", "--curve", "0", "1", "3", "--branch", "principal"),
+        ("lambertw", "0.5", "--curve", "0", "1", "100001", "--branch", "principal"),
+        ("reach", "--variation", "0.25", "--curve", "0.1", "0.2", "3"),
+        ("reach", "--energy", "1e-21", "--curve", "0.1", "0.2", "3", "--format", "csv"),
+        ("loss", "0.3", "0.7", "--convexity-grid", "--format", "records"),
+        ("loss", "0.3", "--convexity-grid"),
+    ],
+)
+def test_a_point_argument_ignored_by_the_command_is_a_usage_error(argv, capsys):
+    # A curve or the convexity grid would drop the point argument; like a
+    # target given both inline and by --input, that is refused before any
+    # work (an over-long curve too).
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.endswith(", not both\n")
+    assert captured.err.count("\n") == 1
+
+
 def test_determinism_byte_for_byte(capsys):
     run_cli("report", "0", "--max-len", "8", "--format", "csv")
     first = capsys.readouterr().out

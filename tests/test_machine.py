@@ -120,8 +120,10 @@ def test_run_step_cap():
     # A program of n opcodes runs exactly n steps: the cap bounds its length.
     n = DEFAULT_MAX_STEPS
     assert run("10" * (n - 2) + "0011") == "0"
-    with pytest.raises(ResourceExceeded, match=f"step cap {n} breached"):
-        run("10" * (n - 1) + "0011")
+    long = "10" * (n - 1) + "0011"
+    with pytest.raises(ResourceExceeded) as caught:
+        run(long)
+    assert str(caught.value) == f"step cap {n} breached by {long!r}"
     # run checks the length before it runs, so a program over both caps
     # reports the step cap.
     with pytest.raises(ResourceExceeded, match=f"step cap {n} breached"):
@@ -316,12 +318,14 @@ def test_class_hit_ranks_match_the_brute_force_scan():
                         ]
                 assert _core_py.class_hit_ranks(n, target, stop=0) == []
                 assert _core_py.class_hit_ranks(n, target, stop=len(programs)) == ranks
-    # The step cap: a class of DEFAULT_MAX_STEPS opcodes runs, one more does not.
+    # The step cap: a class of DEFAULT_MAX_STEPS opcodes runs, one more raises.
     n = DEFAULT_MAX_STEPS
     assert [_core_py.rank_bits(n, r) for r in _core_py.class_hit_ranks(n, "0")] == [
         "10" * (n - 2) + "0011"
     ]
-    assert _core_py.class_hit_ranks(n + 1, "0") == []
+    with pytest.raises(ResourceExceeded) as caught:
+        _core_py.class_hit_ranks(n + 1, "0")
+    assert str(caught.value) == f"step cap {n} breached by every program of {2 * n + 2} bits"
 
 
 def test_the_kernel_takes_no_output_cap():
