@@ -1,8 +1,8 @@
 """The machine kernel: the program encoding, the interpreter, the
 length-class scan and the target-prefix walk.
 
-This module owns the encoding (the opcode table _OPCODES, HALT, the rank
-order) and the length class: its size, its rank order and the step cap
+This module owns the encoding (the opcode table _OPCODES, DOUBLE, HALT, the
+rank order) and the length class: its size, its rank order and the step cap
 DEFAULT_MAX_STEPS.  The machine is straight-line, so a program of n opcodes
 runs exactly n steps and the step cap bounds the opcode count;
 check_step_cap is the one place that checks it.
@@ -22,6 +22,7 @@ from itertools import product
 from .errors import ResourceExceeded
 
 _OPCODES = ("00", "01", "10")  # emit0, emit1, double, in rank order
+DOUBLE = _OPCODES[2]
 HALT = "11"
 DEFAULT_MAX_STEPS = 10_000
 

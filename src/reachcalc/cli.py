@@ -12,8 +12,12 @@ Records and csv show the rows, or a scalar result as one row.  ``search
 --format table`` prints only the summary; a ``solve`` with no solution
 prints its header in a table and nothing in records or csv.  An argument
 the command would ignore is a usage error, like a target given both inline
-and by --input: ``lambertw X`` or ``reach --variation``/``--energy`` with
-``--curve``, and ``loss Z_HAT Z`` with ``--convexity-grid``.
+and by --input: ``lambertw X`` or ``reach --variation``/``--energy``/``--temp``
+with ``--curve``, ``loss Z_HAT Z`` with ``--convexity-grid``, ``search
+--start-length`` with the reachability-greedy policy and ``search --max-len``
+with the other two.  So ``--temp`` and ``--max-len`` default to None in the
+parser, and ``_given_or_default`` applies the documented default where the
+value is used.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on the
 first call and shared by every later in-process call; ``build_parser`` itself
@@ -52,12 +56,13 @@ from .machine import (
     reachability_report,
 )
 from .reachability import reach_curve, reach_from_energy, reach_from_variation
-from .search import Budget, demiurge_search
+from .search import Budget, SearchPolicy, _as_policy, demiurge_search
 
 _EXIT_DOMAIN = 1
 _EXIT_RESOURCE = 2
 _EXIT_USAGE = 3
 _MAX_CURVE_POINTS = 100_000  # the default search budget, so no curve outgrows a default trace
+_DEFAULTS = {"temp": 300.0, "max_len": DEFAULT_MAX_LEN}
 
 
 class _UsageError(Exception):
@@ -84,6 +89,12 @@ def _write(fmt: str, fields=(), keys: tuple[str, ...] = (), rows=None) -> None:
         rows, keys = [dict(fields)], tuple(k for k, _ in fields)
     if rows:
         sys.stdout.write((records_text if fmt == "records" else csv_text)(rows, keys))
+
+
+def _given_or_default(args, name: str):
+    """The value of option `name`, or its documented default when not given."""
+    value = getattr(args, name)
+    return _DEFAULTS[name] if value is None else value
 
 
 def _curve(curve: list[str]) -> tuple[float, float, int]:
@@ -144,6 +155,8 @@ def _cmd_reach(args) -> int:
     if args.curve:
         if args.variation is not None or args.energy is not None:
             raise _UsageError("give reach either --variation/--energy or --curve, not both")
+        if args.temp is not None:
+            raise _UsageError("reach --curve has no energy column, so it takes no --temp")
         lo, hi, n = _curve(args.curve)
         _write(args.format, keys=("variation", "reachability"), rows=[
             {"variation": h, "reachability": p} for h, p in reach_curve(lo, hi, n, branch)
@@ -151,33 +164,35 @@ def _cmd_reach(args) -> int:
         return 0
     if (args.variation is None) == (args.energy is None):
         raise _UsageError("reach needs exactly one of --variation or --energy (or --curve)")
+    temp = _given_or_default(args, "temp")
     if args.variation is not None:
         h = args.variation
         p = reach_from_variation(h, branch)
-        energy = entropy_to_work(h, args.temp)
+        energy = entropy_to_work(h, temp)
     else:
-        p = reach_from_energy(args.energy, args.temp, branch)
+        p = reach_from_energy(args.energy, temp, branch)
         energy = args.energy
-        h = work_to_entropy(energy, args.temp)
+        h = work_to_entropy(energy, temp)
     _write(args.format, [
         ("variation", h),
         ("reachability", p),
         ("branch", branch.value),
         ("energy", energy),
-        ("temperature", args.temp),
+        ("temperature", temp),
     ])
     return 0
 
 
 def _cmd_solve(args) -> int:
     target = _target_from(args)
-    solutions = enumerate_solutions(target, args.max_len, scheme=Scheme(args.scheme))
+    max_len = _given_or_default(args, "max_len")
+    solutions = enumerate_solutions(target, max_len, scheme=Scheme(args.scheme))
     # Programs come in (length, lex) order, so the first is the shortest
     # solution with kolmogorov_upper's tie-break.
     first = solutions.programs[0] if solutions.programs else None
     header = [
         ("target", target),
-        ("max_len", args.max_len),
+        ("max_len", max_len),
         ("solutions", len(solutions)),
         ("k_upper", first.length if first else "none"),
         ("witness", first.bits if first else "none"),
@@ -192,11 +207,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_report(args) -> int:
     target = _target_from(args)
+    temp = _given_or_default(args, "temp")
     records = reachability_report(
         target,
-        args.max_len,
+        _given_or_default(args, "max_len"),
         scheme=Scheme(args.scheme),
-        temperature=args.temp,
+        temperature=temp,
         branch=BranchChoice(args.branch),
     )
     rows = [
@@ -215,7 +231,7 @@ def _cmd_report(args) -> int:
     if args.format == "table":
         sys.stdout.write(
             f"target: {target!r}  branch: {args.branch}  scheme: {args.scheme}  "
-            f"T: {format_value(args.temp)} K\n"
+            f"T: {format_value(temp)} K\n"
         )
         keys += ("normalized",)
     _write(args.format, keys=keys, rows=rows)
@@ -225,13 +241,19 @@ def _cmd_report(args) -> int:
 def _cmd_search(args) -> int:
     target = _target_from(args)
     budget = Budget(programs=args.budget_programs, energy=args.budget_energy)
+    policy = _as_policy(args.policy)
+    greedy = policy is SearchPolicy.REACHABILITY_GREEDY
+    if greedy and args.start_length is not None:
+        raise _UsageError("reachability-greedy starts at the smallest class; drop --start-length")
+    if not greedy and args.max_len is not None:
+        raise _UsageError("--max-len bounds only the reachability-greedy policy; drop it")
     trace = demiurge_search(
         target,
-        args.policy,
+        policy,
         budget,
-        temperature=args.temp,
+        temperature=_given_or_default(args, "temp"),
         start_length=args.start_length,
-        max_len=args.max_len,
+        max_len=_given_or_default(args, "max_len"),
     )
     summary = [
         ("policy", trace.policy.value),
@@ -306,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="real branch of W (default lower)",
             )
         if temp:
-            p.add_argument("--temp", type=float, default=300.0, metavar="K",
+            p.add_argument("--temp", type=float, default=None, metavar="K",
                            help="temperature in kelvin (default 300)")
         if scheme:
             p.add_argument(
@@ -316,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="solution weighting (default lengthweighted)",
             )
         if max_len:
-            p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, metavar="BITS",
+            p.add_argument("--max-len", type=int, default=None, metavar="BITS",
                            help=f"program length cap (default {DEFAULT_MAX_LEN})")
 
     p = sub.add_parser("lambertw", help="evaluate a real branch of the Lambert W function")

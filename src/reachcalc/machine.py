@@ -17,6 +17,9 @@ by length class, lexicographic within a class.  Programs run, and length
 classes are scanned, on the pure-Python kernel in reachcalc._core_py.  It
 owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
+Enumeration scans at most len(rho) + 1 classes and builds each larger class
+from the class below: past that class every solution starts with a DOUBLE
+on the empty output, a no-op.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
 and its output never shrinks.  So the step cap is a bound on the opcode
@@ -35,7 +38,7 @@ from collections.abc import Iterator
 from enum import Enum
 
 from . import _core_py
-from ._core_py import DEFAULT_MAX_STEPS, HALT, iter_valid_programs
+from ._core_py import DEFAULT_MAX_STEPS, DOUBLE, HALT, iter_valid_programs
 from ._record import Record
 from .entropy import FiniteDistribution, entropy_to_work
 from .entropy import entropy_variation  # unused; reachbench/layers.py wraps it here
@@ -192,14 +195,27 @@ def literal_program(rho: Problem | str) -> Program:
 
 def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     """Each length class's solutions of problem, shortest class first; max_len
-    and the gate DEFAULT_ENUM_BUDGET are checked when iteration starts."""
+    and the gate DEFAULT_ENUM_BUDGET are checked when iteration starts.
+
+    It scans at most len(target) + 1 classes and builds each larger class
+    from the class below.  A program of n >= len(target) + 2 opcodes that
+    starts with an emit prints at least n - 1 bits, since every later
+    opcode but HALT adds a bit, so it misses; every hit starts with a
+    DOUBLE on the empty output, a no-op.  So class n's hits are DOUBLE + each
+    hit of class n - 1, and DOUBLE, the highest rank digit, keeps rank order.
+    """
     _check_even_length("max_len", max_len, 0)
     if max_len >= DEFAULT_ENUM_BUDGET.bit_length():  # i.e. 2**max_len > DEFAULT_ENUM_BUDGET
         raise ResourceExceeded(
             f"2^{max_len} candidate strings exceed the enumeration budget {DEFAULT_ENUM_BUDGET}"
         )
-    for n_opcodes in range(1, max_len // 2 + 1):
-        yield _core_py.scan_length_class(n_opcodes, problem.target)
+    scanned = min(max_len // 2, len(problem.target) + 1)
+    for n_opcodes in range(1, scanned + 1):
+        hits = _core_py.scan_length_class(n_opcodes, problem.target)
+        yield hits
+    for _ in range(scanned, max_len // 2):
+        hits = [DOUBLE + bits for bits in hits]
+        yield hits
 
 
 def enumerate_solutions(

@@ -175,6 +175,19 @@ def _reachability_greedy(session: _Session, max_len: int) -> None:
             return
 
 
+def _as_policy(policy: SearchPolicy | str) -> SearchPolicy:
+    """The policy a SearchPolicy or its name stands for; case, "-" and "_"
+    in a name are ignored.  Anything else raises InvalidPolicy."""
+    if isinstance(policy, str):
+        try:
+            return SearchPolicy(policy.lower().replace("_", "").replace("-", ""))
+        except ValueError:
+            raise InvalidPolicy(f"unknown search policy {policy!r}") from None
+    if not isinstance(policy, SearchPolicy):
+        raise InvalidPolicy(f"unknown search policy {policy!r}")
+    return policy
+
+
 def demiurge_search(
     rho: Problem | str,
     policy: SearchPolicy | str,
@@ -194,13 +207,7 @@ def demiurge_search(
     cap, 2 * DEFAULT_MAX_STEPS bits, raises ResourceExceeded.
     """
     problem = _as_problem(rho)
-    if isinstance(policy, str):
-        try:
-            policy = SearchPolicy(policy.lower().replace("_", "").replace("-", ""))
-        except ValueError:
-            raise InvalidPolicy(f"unknown search policy {policy!r}") from None
-    if not isinstance(policy, SearchPolicy):
-        raise InvalidPolicy(f"unknown search policy {policy!r}")
+    policy = _as_policy(policy)
     if budget is None:
         budget = Budget()
     _landauer_unit(temperature)  # validates temperature

@@ -538,6 +538,46 @@ def test_a_point_argument_ignored_by_the_command_is_a_usage_error(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reach", "--curve", "0.1", "0.5", "2", "--temp", "77"),
+        ("reach", "--curve", "0.1", "0.5", "2", "--temp", "300", "--format", "csv"),
+        ("search", "0101", "--policy", "reachability-greedy", "--start-length", "4"),
+        ("search", "0101", "--policy", "exhaustive-by-size", "--max-len", "2"),
+        ("search", "0101", "--policy", "size-descending", "--max-len", "24"),
+        ("search", "0101", "--max-len", "16", "--format", "records"),
+    ],
+)
+def test_an_option_ignored_by_the_command_is_a_usage_error(argv, capsys):
+    # The curve has no energy column, greedy search starts at the smallest
+    # class and the other policies take no length cap; an option given with
+    # its default value is refused the same way.
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("reach", "--variation", "0.25"), ("--temp", "300")),
+        (("report", "0", "--max-len", "6"), ("--temp", "300")),
+        (("search", "0000", "--policy", "size-descending"), ("--temp", "300")),
+        (("solve", "01"), ("--max-len", "24")),
+        (("report", "0"), ("--max-len", "24")),
+        (("search", "0101", "--policy", "reachability-greedy"), ("--max-len", "24")),
+    ],
+)
+def test_an_omitted_option_takes_its_documented_default(argv, option, capsys):
+    assert run_cli(*argv) == 0
+    omitted = capsys.readouterr()
+    assert run_cli(*argv, *option) == 0
+    assert capsys.readouterr() == omitted
+
+
 def test_determinism_byte_for_byte(capsys):
     run_cli("report", "0", "--max-len", "8", "--format", "csv")
     first = capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachcalc import _core_py
+from reachcalc import _core_py, cli
 from reachcalc.entropy import entropy_to_work
 from reachcalc.errors import (
     DegenerateSetWarning,
@@ -297,6 +297,49 @@ def test_scan_at_the_target_width_matches_the_64_bit_oracle():
             assert _core_py.scan_length_class(n, target) == [
                 bits for bits, out in outputs if out == target
             ], (n, target)
+
+
+def _targets(max_bits):
+    return ["".join(bits) for n in range(max_bits + 1) for bits in product("01", repeat=n)]
+
+
+def test_enumerate_matches_the_oracle_through_the_derived_classes():
+    """Enumeration scans classes 1..len + 1 and builds the rest; at 9
+    opcodes every target of <= 7 bits has at least one built class."""
+    table = {}
+    for n in range(1, 10):
+        for bits in oracles._class_programs(n):
+            table.setdefault(oracles.oracle_run(bits), []).append(bits)
+    for target in _targets(8):
+        got = [p.bits for p in enumerate_solutions(target, 18).programs]
+        assert got == table.get(target, []), target
+
+
+def test_each_class_past_len_plus_one_is_the_class_below_behind_a_double():
+    """The identity enumeration builds on, checked on the brute-force scan."""
+    for target in _targets(6):
+        scans = {n: _core_py.scan_length_class(n, target) for n in range(len(target) + 1, 10)}
+        for n in range(len(target) + 2, 10):
+            assert scans[n] == [_core_py.DOUBLE + p for p in scans[n - 1]], (target, n)
+
+
+@pytest.mark.parametrize("target, scanned", [
+    ("0101", [1, 2, 3, 4, 5]),
+    ("", [1]),
+    ("0110100110010110", list(range(1, 13))),
+])
+def test_solve_scans_only_the_classes_up_to_len_plus_one(target, scanned, monkeypatch, capsys):
+    calls = []
+    scan = _core_py.scan_length_class
+
+    def spy(n_opcodes, rho):
+        calls.append(n_opcodes)
+        return scan(n_opcodes, rho)
+
+    monkeypatch.setattr(_core_py, "scan_length_class", spy)
+    assert cli.main(["solve", target, "--max-len", "24"]) == 0
+    assert calls == scanned
+    assert "max_len: 24\n" in capsys.readouterr().out
 
 
 def test_class_hit_ranks_match_the_brute_force_scan():
