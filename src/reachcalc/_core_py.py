@@ -1,5 +1,5 @@
 """The machine kernel: the program encoding, the interpreter, the
-length-class scan and the target-prefix walk.
+length-class scan, the target's prefix table and the target-prefix walk.
 
 This module owns the encoding (the opcode table _OPCODES, DOUBLE, HALT, the
 rank order) and the length class: its size, its rank order and the step cap
@@ -7,7 +7,9 @@ DEFAULT_MAX_STEPS.  The machine is straight-line, so a program of n opcodes
 runs exactly n steps and the step cap bounds the opcode count;
 check_step_cap is the one place that checks it.
 reachcalc.machine and reachcalc.search call these directly.  Programs
-arriving here are validated (even, terminal HALT only).
+arriving here are validated (even, terminal HALT only).  The kernel also owns
+each target's prefix table, built once per target: its shortest class bounds
+both the enumeration scans and the walk.
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -16,6 +18,7 @@ is lexicographic bit order.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from itertools import product
 
@@ -95,6 +98,36 @@ def rank_bits(n_opcodes: int, rank: int) -> str:
     return "".join(reversed(body)) + HALT
 
 
+@functools.lru_cache(maxsize=1)
+def _prefix_table(target: str) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """For each prefix length s = 0..len(target): whether a double takes the
+    output target[:s] to target[:2s], and the fewest opcodes that take
+    target[:s] to target, HALT not counted.
+
+    A program prints the target only if its output stays a prefix of it, so
+    these lengths are the states of every hit.  For s > 0 every edge goes
+    forward (emit s -> s+1, double s -> 2s), and the double at s = 0 is the
+    no-op loop, so one backward pass from s = len(target) counts the fewest
+    opcodes.  A search asks for one target's classes in turn, so the last
+    table is kept.
+    """
+    size = len(target)
+    doubles = tuple(2 * s <= size and target[s : 2 * s] == target[:s] for s in range(size + 1))
+    fewest = [0] * (size + 1)
+    for s in reversed(range(size)):
+        steps = fewest[s + 1]
+        if s and doubles[s]:
+            steps = min(steps, fewest[2 * s])
+        fewest[s] = steps + 1
+    return doubles, tuple(fewest)
+
+
+def shortest_class(target: str) -> int:
+    """The opcode count of the shortest programs printing target: every
+    class below it is empty, and every class from it on holds a hit."""
+    return _prefix_table(target)[1][0] + 1
+
+
 def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> list[int]:
     """Ascending ranks of the programs of n_opcodes opcodes that print
     `target`, only those below `stop` when it is given.  A class past the
@@ -103,12 +136,16 @@ def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> 
     The output only grows, so a program hits only if its output stays a
     prefix of the target at every step.  The walk tracks the prefix length
     and tries the opcodes in rank order, so its hits come out sorted and a
-    class costs its hits, not its 3**(n_opcodes - 1) candidates.
+    class costs its hits, not its 3**(n_opcodes - 1) candidates.  It reads
+    the doubles from the target's prefix table and drops every node with
+    fewer opcodes left than its state needs, so a class with no hit costs
+    one node.
     """
     size = len(target)
     check_step_cap(n_opcodes)
     if n_opcodes < 1:
         return []
+    doubles, fewest = _prefix_table(target)
     hits: list[int] = []
     # (prefix length, rank of the opcodes taken, free opcodes left); a node's
     # subtree holds the ranks rank * 3**left up to the next multiple.
@@ -117,16 +154,16 @@ def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> 
         state, rank, left = stack.pop()
         if stop is not None and rank * 3**left >= stop:
             break  # every node still on the stack lies above this one
-        if left == 0:
-            if state == size:
-                hits.append(rank)
-            continue
+        if left < fewest[state]:
+            continue  # too short to reach the target
         if state and left > size - state:
             continue  # a non-empty output grows with every opcode: too long
-        # Push the double (digit 2) first so the emit (digit 0 or 1) pops first.
-        if state == 0:
-            stack.append((0, 3 * rank + 2, left - 1))
-        elif target[state : 2 * state] == target[:state]:
+        if left == 0:
+            hits.append(rank)  # fewest[state] == 0 only at the full target
+            continue
+        # Push the double (digit 2) first so the emit (digit 0 or 1) pops first;
+        # the double at state 0 is the no-op on the empty output.
+        if doubles[state]:
             stack.append((2 * state, 3 * rank + 2, left - 1))
         if state < size:
             stack.append((state + 1, 3 * rank + (target[state] == "1"), left - 1))

@@ -14,10 +14,12 @@ prints its header in a table and nothing in records or csv.  An argument
 the command would ignore is a usage error, like a target given both inline
 and by --input: ``lambertw X`` or ``reach --variation``/``--energy``/``--temp``
 with ``--curve``, ``loss Z_HAT Z`` with ``--convexity-grid``, ``search
---start-length`` with the reachability-greedy policy and ``search --max-len``
-with the other two.  So ``--temp`` and ``--max-len`` default to None in the
-parser, and ``_given_or_default`` applies the documented default where the
-value is used.
+--start-length`` with the reachability-greedy policy, ``search --max-len``
+with the other two and ``search --budget-energy`` with any policy but
+size-descending, the only one that charges energy.  So ``--temp``,
+``--max-len`` and ``--budget-energy`` default to None in the parser, and
+``_given_or_default`` applies the documented default where the value is
+used.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on the
 first call and shared by every later in-process call; ``build_parser`` itself
@@ -62,7 +64,7 @@ _EXIT_DOMAIN = 1
 _EXIT_RESOURCE = 2
 _EXIT_USAGE = 3
 _MAX_CURVE_POINTS = 100_000  # the default search budget, so no curve outgrows a default trace
-_DEFAULTS = {"temp": 300.0, "max_len": DEFAULT_MAX_LEN}
+_DEFAULTS = {"temp": 300.0, "max_len": DEFAULT_MAX_LEN, "budget_energy": math.inf}
 
 
 class _UsageError(Exception):
@@ -240,13 +242,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_search(args) -> int:
     target = _target_from(args)
-    budget = Budget(programs=args.budget_programs, energy=args.budget_energy)
+    budget = Budget(programs=args.budget_programs, energy=_given_or_default(args, "budget_energy"))
     policy = _as_policy(args.policy)
     greedy = policy is SearchPolicy.REACHABILITY_GREEDY
     if greedy and args.start_length is not None:
         raise _UsageError("reachability-greedy starts at the smallest class; drop --start-length")
     if not greedy and args.max_len is not None:
         raise _UsageError("--max-len bounds only the reachability-greedy policy; drop it")
+    if policy is not SearchPolicy.SIZE_DESCENDING and args.budget_energy is not None:
+        raise _UsageError("--budget-energy bounds only the size-descending policy; drop it")
     trace = demiurge_search(
         target,
         policy,
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget-programs", type=int, default=100_000, metavar="N",
                    help="program budget (default 100000)")
-    p.add_argument("--budget-energy", type=float, default=math.inf, metavar="J",
+    p.add_argument("--budget-energy", type=float, default=None, metavar="J",
                    help="energy budget in joules (default unlimited)")
     p.add_argument("--start-length", type=int, default=None, metavar="BITS",
                    help="size class where the search starts (default: literal program)")

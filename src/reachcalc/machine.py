@@ -17,9 +17,10 @@ by length class, lexicographic within a class.  Programs run, and length
 classes are scanned, on the pure-Python kernel in reachcalc._core_py.  It
 owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
-Enumeration scans at most len(rho) + 1 classes and builds each larger class
-from the class below: past that class every solution starts with a DOUBLE
-on the empty output, a no-op.
+Enumeration scans the classes from the shortest one, which the kernel's
+prefix table gives, up to len(rho) + 1, and builds each larger class from
+the class below: past that class every solution starts with a DOUBLE on the
+empty output, a no-op.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
 and its output never shrinks.  So the step cap is a bound on the opcode
@@ -197,7 +198,8 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     """Each length class's solutions of problem, shortest class first; max_len
     and the gate DEFAULT_ENUM_BUDGET are checked when iteration starts.
 
-    It scans at most len(target) + 1 classes and builds each larger class
+    It scans only the classes from the shortest one up to len(target) + 1;
+    every class below the shortest is empty.  It builds each larger class
     from the class below.  A program of n >= len(target) + 2 opcodes that
     starts with an emit prints at least n - 1 bits, since every later
     opcode but HALT adds a bit, so it misses; every hit starts with a
@@ -209,12 +211,14 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
         raise ResourceExceeded(
             f"2^{max_len} candidate strings exceed the enumeration budget {DEFAULT_ENUM_BUDGET}"
         )
-    scanned = min(max_len // 2, len(problem.target) + 1)
-    for n_opcodes in range(1, scanned + 1):
-        hits = _core_py.scan_length_class(n_opcodes, problem.target)
-        yield hits
-    for _ in range(scanned, max_len // 2):
-        hits = [DOUBLE + bits for bits in hits]
+    target = problem.target
+    first = _core_py.shortest_class(target)
+    hits: list[str] = []
+    for n_opcodes in range(1, max_len // 2 + 1):
+        if n_opcodes > len(target) + 1:
+            hits = [DOUBLE + bits for bits in hits]
+        elif n_opcodes >= first:
+            hits = _core_py.scan_length_class(n_opcodes, target)
         yield hits
 
 

@@ -21,6 +21,8 @@ A class is addressed by rank (see reachcalc._core_py): the target-prefix
 walk finds its hits directly, and the misses between them are counted, not
 run.  A search therefore costs its hits, not the programs it reports as
 run, and the trace rebuilds the programs only when `steps` asks for them.
+The walk reads the target's prefix table, built once per target, so each
+class below the shortest solution costs one node.
 """
 
 from __future__ import annotations

@@ -547,12 +547,18 @@ def test_a_point_argument_ignored_by_the_command_is_a_usage_error(argv, capsys):
         ("search", "0101", "--policy", "exhaustive-by-size", "--max-len", "2"),
         ("search", "0101", "--policy", "size-descending", "--max-len", "24"),
         ("search", "0101", "--max-len", "16", "--format", "records"),
+        ("search", "0101", "--policy", "exhaustive-by-size", "--budget-energy", "1e-30"),
+        ("search", "0101", "--policy", "reachability-greedy", "--budget-energy", "1e-30"),
+        ("search", "0101", "--policy", "exhaustive-by-size", "--budget-energy", "inf"),
+        ("search", "0101", "--policy", "reachability-greedy", "--budget-energy", "inf",
+         "--format", "csv"),
     ],
 )
 def test_an_option_ignored_by_the_command_is_a_usage_error(argv, capsys):
     # The curve has no energy column, greedy search starts at the smallest
-    # class and the other policies take no length cap; an option given with
-    # its default value is refused the same way.
+    # class, the other policies take no length cap and only size-descending
+    # charges energy; an option given with its default value is refused the
+    # same way.
     assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -569,6 +575,7 @@ def test_an_option_ignored_by_the_command_is_a_usage_error(argv, capsys):
         (("solve", "01"), ("--max-len", "24")),
         (("report", "0"), ("--max-len", "24")),
         (("search", "0101", "--policy", "reachability-greedy"), ("--max-len", "24")),
+        (("search", "0000", "--policy", "size-descending"), ("--budget-energy", "inf")),
     ],
 )
 def test_an_omitted_option_takes_its_documented_default(argv, option, capsys):

@@ -1,5 +1,6 @@
 """Tests for the toy machine: validation, execution, enumeration, reports."""
 
+import functools
 import math
 import warnings
 from itertools import product
@@ -303,16 +304,41 @@ def _targets(max_bits):
     return ["".join(bits) for n in range(max_bits + 1) for bits in product("01", repeat=n)]
 
 
-def test_enumerate_matches_the_oracle_through_the_derived_classes():
-    """Enumeration scans classes 1..len + 1 and builds the rest; at 9
-    opcodes every target of <= 7 bits has at least one built class."""
+@functools.cache
+def _oracle_table():
+    """Output -> the programs of <= 9 opcodes printing it, (length, lex)
+    order, run through the independent interpreter; built once per module."""
     table = {}
     for n in range(1, 10):
         for bits in oracles._class_programs(n):
             table.setdefault(oracles.oracle_run(bits), []).append(bits)
+    return table
+
+
+def test_enumerate_matches_the_oracle_through_the_derived_classes():
+    """Enumeration scans the classes from the shortest one to len + 1 and
+    builds the rest; at 9 opcodes every target of <= 7 bits has at least
+    one built class."""
+    table = _oracle_table()
     for target in _targets(8):
         got = [p.bits for p in enumerate_solutions(target, 18).programs]
         assert got == table.get(target, []), target
+
+
+def test_the_prefix_table_matches_the_oracle():
+    """The kernel's shortest class and the walk's hits, class by class,
+    against the oracle table for every target of <= 8 bits."""
+    table = _oracle_table()
+    for target in _targets(8):
+        programs = table.get(target, [])
+        shortest = _core_py.shortest_class(target)
+        if programs:
+            assert shortest == len(programs[0]) // 2, target
+        else:
+            assert shortest > 9, target
+        for n in range(1, 10):
+            got = [_core_py.rank_bits(n, r) for r in _core_py.class_hit_ranks(n, target)]
+            assert got == [bits for bits in programs if len(bits) == 2 * n], (target, n)
 
 
 def test_each_class_past_len_plus_one_is_the_class_below_behind_a_double():
@@ -324,11 +350,13 @@ def test_each_class_past_len_plus_one_is_the_class_below_behind_a_double():
 
 
 @pytest.mark.parametrize("target, scanned", [
-    ("0101", [1, 2, 3, 4, 5]),
+    ("0101", [4, 5]),
     ("", [1]),
-    ("0110100110010110", list(range(1, 13))),
+    ("0110100110010110", []),  # its shortest class, 17 opcodes, is past the cap's 12
+    ("01" * 8, list(range(6, 13))),
 ])
 def test_solve_scans_only_the_classes_up_to_len_plus_one(target, scanned, monkeypatch, capsys):
+    """Scans run from the shortest class to len + 1, within the cap."""
     calls = []
     scan = _core_py.scan_length_class
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachcalc import _core_py
 from reachcalc.entropy import BOLTZMANN_K, LN2, entropy_to_work
 from reachcalc.errors import DomainError, InvalidPolicy, ResourceExceeded
 from reachcalc.machine import Problem, enumerate_solutions, kolmogorov_upper, run
@@ -115,6 +116,16 @@ def test_greedy_is_cheaper_than_scanning_every_class():
     trace = demiurge_search("01010101", SearchPolicy.REACHABILITY_GREEDY)
     exhaustive_cost = sum(3 ** (k - 1) for k in range(1, 6))  # classes 2..10
     assert trace.programs_run < exhaustive_cost
+
+
+def test_greedy_builds_the_prefix_table_once():
+    """Timing-free guard: the walk of every class reads one prefix table,
+    built once for the target, not once per class."""
+    _core_py._prefix_table.cache_clear()
+    trace = demiurge_search("01" * 8, SearchPolicy.REACHABILITY_GREEDY)
+    assert trace.best_found.bits == "000110101011"
+    assert [n for n, _, _ in trace.segments] == [1, 2, 3, 4, 5, 6]
+    assert _core_py._prefix_table.cache_info().misses == 1
 
 
 def test_greedy_empty_target():
