@@ -15,8 +15,8 @@ the command would ignore is a usage error, like a target given both inline
 and by --input: ``lambertw X`` or ``reach --variation``/``--energy``/``--temp``
 with ``--curve``, ``loss Z_HAT Z`` with ``--convexity-grid``, ``search
 --start-length`` with the reachability-greedy policy, ``search --max-len``
-with the other two and ``search --budget-energy`` with any policy but
-size-descending, the only one that charges energy.  So ``--temp``,
+with the other two and ``search --budget-energy`` or ``--temp`` with any
+policy but size-descending, the only one that charges energy.  So ``--temp``,
 ``--max-len`` and ``--budget-energy`` default to None in the parser, and
 ``_given_or_default`` applies the documented default where the value is
 used.
@@ -249,8 +249,11 @@ def _cmd_search(args) -> int:
         raise _UsageError("reachability-greedy starts at the smallest class; drop --start-length")
     if not greedy and args.max_len is not None:
         raise _UsageError("--max-len bounds only the reachability-greedy policy; drop it")
-    if policy is not SearchPolicy.SIZE_DESCENDING and args.budget_energy is not None:
-        raise _UsageError("--budget-energy bounds only the size-descending policy; drop it")
+    if policy is not SearchPolicy.SIZE_DESCENDING:
+        if args.budget_energy is not None:
+            raise _UsageError("--budget-energy bounds only the size-descending policy; drop it")
+        if args.temp is not None:
+            raise _UsageError("--temp prices only the size-descending policy's energy; drop it")
     trace = demiurge_search(
         target,
         policy,

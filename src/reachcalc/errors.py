@@ -10,7 +10,11 @@ class DomainError(ReachcalcError, ValueError):
 
 
 class ConvergenceError(ReachcalcError, ArithmeticError):
-    """The iteration failed to meet its residual tolerance within the cap."""
+    """An iteration failed to converge within its cap.
+
+    Kept in the API for callers that catch it; eval_w no longer raises it,
+    since each of its iterations stops on its own step.
+    """
 
 
 class InvalidDistribution(ReachcalcError, ValueError):

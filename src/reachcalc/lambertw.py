@@ -5,24 +5,32 @@ W(x) is defined by W(x) * exp(W(x)) = x.  Two real branches exist:
 * the principal branch W0, with W0(x) >= -1 on [-1/e, inf), and
 * the lower branch W-1, with W-1(x) <= -1 on [-1/e, 0).
 
-Both meet at the branch point x = -1/e where W = -1.  Values are found by
-Halley's method on f(w) = w*exp(w) - x, started from a branch-point series
-near -1/e and from logarithmic asymptotics elsewhere.  Above 2**1021, where
-Halley's correction term overflows, the principal branch is found by
-Newton's method on w + ln w = ln x instead.  Success means the
-residual |w*exp(w) - x| is at most 1e-12 * max(1, |x|); immediately around
-the branch point the square-root singularity caps what any float iteration
-can resolve, so there the series value is returned directly (it is accurate
-to ~1e-15 in w) and the residual requirement is relaxed to 1e-9 absolute.
+Both meet at the branch point x = -1/e where W = -1.  The double
+BRANCH_POINT lies just below the true -1/e; W there is -1, and every x below
+it is out of the domain.  Each in-domain x takes one of three iterations:
+
+* below x = -0.25 on either branch, Halley's method for t = 1 + W on
+  e (w e^w + 1/e) = t expm1(t) - (e^t - 1 - t), with x + 1/e formed in
+  double-double and e^t - 1 - t from its series for |t| < 1/4, started from
+  the branch-point series;
+* the lower branch from -0.25 up, and the principal branch above 2**1021
+  (where Halley's correction term overflows), Newton's method on
+  w + ln|w| = ln|x|, started from the logarithmic asymptotics;
+* the principal branch from -0.25 to 2**1021, Halley's method on
+  w e^w - x, started from log1p(x) or ln x - ln ln x.
+
+Every iteration stops once its step is at most 2 eps |w|, never on a
+residual.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from ._record import Record
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "BRANCH_POINT",
@@ -34,18 +42,16 @@ __all__ = [
     "w_curve",
 ]
 
-#: Left edge of both real branches: -1/e.
+#: Left edge of both real branches: -1/e, rounded.
 BRANCH_POINT = -1.0 / math.e
 
-_RESIDUAL_RTOL = 1e-12
-_RESIDUAL_NEAR_BRANCH = 1e-9
+# 1/e - (-BRANCH_POINT): the low half of 1/e, so x + 1/e is formed to double-double.
+_E_LO = -1.2428753672788363e-17
 _MAX_ITER = 64
-# |x + 1/e| below this: return the branch-point series directly (no iteration).
-_SERIES_ONLY = 1e-5
-# |x + 1/e| below this: use the series as the Halley starting point.
-_SERIES_START = 0.07
-# Values within a few ulps of -1/e snap to the branch point exactly.
-_SNAP = 4 * math.ulp(BRANCH_POINT)
+# An iteration stops once |step| <= _STEP_RTOL * |w|.
+_STEP_RTOL = 2.0 * sys.float_info.epsilon
+# x below this: the iteration in t = 1 + W about the branch point.
+_BRANCH_ZONE = -0.25
 # x above this: Newton on w + ln w = ln x, since Halley's (w + 2) * f
 # overflows from about x = 2.757e307.
 _LOG_FORM = 2.0**1021
@@ -59,11 +65,11 @@ class BranchChoice(Enum):
 
 
 class WEvaluation(Record):
-    """One converged evaluation of W.
+    """One evaluation of W.
 
     residual is |value * exp(value) - argument| at the returned value;
-    iterations counts Halley steps (0 when a closed form or the
-    branch-point series was used).
+    iterations counts the steps taken (0 at x = 0 on the principal branch
+    and at the branch point, where W is exact).
     """
 
     def __init__(self, argument: float, value: float, branch: BranchChoice, residual: float,
@@ -72,104 +78,112 @@ class WEvaluation(Record):
                              iterations=iterations)
 
 
-def _series(p: float) -> float:
-    # Branch-point expansion W = -1 + p - p^2/3 + 11 p^3/72 - ..., where
-    # p = +/- sqrt(2 (e x + 1)); the sign picks the branch.
-    return -1.0 + p * (
-        1.0
-        + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))))
-    )
-
-
-def _initial_guess(x: float, branch: BranchChoice) -> float:
-    q = x - BRANCH_POINT  # = x + 1/e, >= 0 in-domain
-    if q < _SERIES_START:
-        p = math.sqrt(2.0 * math.e * q)
-        return _series(p if branch is BranchChoice.PRINCIPAL else -p)
-    if branch is BranchChoice.PRINCIPAL:
-        if x <= math.e:
-            return math.log1p(x)
-        lx = math.log(x)
-        return lx - math.log(lx)
-    # Lower branch, x in (-1/e, 0): classic two-log asymptotic.
-    l1 = math.log(-x)
-    l2 = math.log(-l1)
-    return l1 - l2 + l2 / l1
-
-
 def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluation:
     """Evaluate the chosen real branch of W at x.
 
-    Raises DomainError for x < -1/e and x = inf (both branches) and for
-    x >= 0 on the lower branch; raises ConvergenceError if the residual
-    tolerance cannot be met within the iteration cap (not expected for
-    in-domain input).
+    Raises DomainError for x < BRANCH_POINT and x = inf (both branches) and
+    for x >= 0 on the lower branch.  The value comes from the iteration of
+    x's region (see the module docstring), stopped on its step.
     """
+    w, _, iterations = _solve(x, branch)
+    if x > _LOG_FORM:  # |w e^w - x| without forming w e^w, which may overflow
+        residual = x * abs(w * math.exp(w - math.log(x)) - 1.0)
+    else:
+        residual = abs(w * math.exp(w) - x)
+    return WEvaluation(x, w, branch, residual, iterations)
+
+
+def _solve(x: float, branch: BranchChoice) -> tuple[float, float, int]:
+    """(W(x), 1 + W(x), iterations) on the chosen branch, after the domain
+    checks; 1 + W is the branch-point iteration's t below x = -0.25, so it
+    keeps its relative accuracy as W approaches -1."""
     if not isinstance(branch, BranchChoice):
         raise DomainError(f"branch must be a BranchChoice, got {branch!r}")
     if math.isnan(x):
         raise DomainError("W is undefined for NaN")
-    if x < BRANCH_POINT - _SNAP:
+    if x < BRANCH_POINT:
         raise DomainError(f"W(x) has no real value for x = {x!r} < -1/e")
     if branch is BranchChoice.LOWER and x >= 0.0:
         raise DomainError(f"the lower branch is only defined on [-1/e, 0), got x = {x!r}")
     if x == math.inf:
         raise DomainError("W is evaluated only at finite x, got x = inf")
 
+    if x == BRANCH_POINT:
+        return -1.0, 0.0, 0
     if branch is BranchChoice.PRINCIPAL and x == 0.0:
-        return WEvaluation(x, 0.0, branch, 0.0, 0)
-    if abs(x - BRANCH_POINT) <= _SNAP:
-        # Exactly the branch point (to float resolution): W = -1.
-        return WEvaluation(x, -1.0, branch, abs(-1.0 / math.e - x), 0)
-
-    near_branch = (x - BRANCH_POINT) < _SERIES_ONLY
-    w = _initial_guess(x, branch)
-    iterations = 0
-    if x > _LOG_FORM:
-        w, iterations = _log_newton(x, w)
-    elif not near_branch:
-        # Halley's method on f(w) = w e^w - x.
-        tol = _RESIDUAL_RTOL * max(1.0, abs(x))
-        for iterations in range(1, _MAX_ITER + 1):
-            ew = math.exp(w)
-            f = w * ew - x
-            if abs(f) <= tol:
-                break
-            w1 = w + 1.0
-            step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-            if not math.isfinite(step):
-                break
-            w -= step
-        # Keep the value on its branch halfline; float noise can cross -1.
-        if branch is BranchChoice.PRINCIPAL:
-            w = max(w, -1.0)
-        else:
-            w = min(w, -1.0)
-
-    if x > _LOG_FORM:  # |w e^w - x| without forming w e^w, which may overflow
-        residual = x * abs(w * math.exp(w - math.log(x)) - 1.0)
+        return 0.0, 1.0, 0
+    if x < _BRANCH_ZONE:
+        t, iterations = _branch_t(math.e * ((x - BRANCH_POINT) + _E_LO), branch)
+        return t - 1.0, t, iterations
+    if branch is BranchChoice.LOWER:
+        l1 = math.log(-x)
+        l2 = math.log(-l1)
+        w, iterations = _log_newton(l1, l1 - l2 + l2 / l1)
+    elif x <= math.e:
+        w, iterations = _halley(x, math.log1p(x))
     else:
-        residual = abs(w * math.exp(w) - x)
-    ok = residual <= _RESIDUAL_RTOL * max(1.0, abs(x)) or (
-        near_branch and residual <= _RESIDUAL_NEAR_BRANCH
-    )
-    if not ok:
-        raise ConvergenceError(
-            f"W residual {residual:.3e} above tolerance after {iterations} iterations "
-            f"at x = {x!r} ({branch.value} branch)"
-        )
-    return WEvaluation(x, w, branch, residual, iterations)
+        lx = math.log(x)
+        guess = lx - math.log(lx)
+        w, iterations = _log_newton(lx, guess) if x > _LOG_FORM else _halley(x, guess)
+    return w, 1.0 + w, iterations
 
 
-def _log_newton(x: float, w: float) -> tuple[float, int]:
-    """(W0(x), iterations) for large x by Newton's method on w + ln w = ln x,
-    started from w."""
-    lx = math.log(x)
-    iterations = 0
+def _branch_t(eq: float, branch: BranchChoice) -> tuple[float, int]:
+    """(t, iterations) for t = 1 + W(x), given eq = e (x + 1/e) > 0.
+
+    Halley's method on h(t) = t expm1(t) - (e^t - 1 - t) = eq, with
+    h' = t e^t and h'' = (1 + t) e^t, started from the branch-point series
+    W = -1 + p - p^2/3 + 11 p^3/72 with p = +/- sqrt(2 eq); the sign picks
+    the branch.
+    """
+    p = math.sqrt(2.0 * eq)
+    if branch is BranchChoice.LOWER:
+        p = -p
+    t = p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
     for iterations in range(1, _MAX_ITER + 1):
-        step = (w + math.log(w) - lx) / (1.0 + 1.0 / w)
+        em1 = math.expm1(t)
+        h = t * em1 - _exp_tail(t, em1) - eq
+        d1 = t * (em1 + 1.0)
+        step = h / (d1 - h * (d1 + em1 + 1.0) / (2.0 * d1))
+        t -= step
+        if abs(step) <= _STEP_RTOL * abs(t - 1.0):
+            break
+    return t, iterations
+
+
+def _exp_tail(t: float, em1: float) -> float:
+    """e^t - 1 - t, given em1 = expm1(t); a series for |t| < 1/4, where
+    expm1(t) - t would cancel."""
+    if abs(t) >= 0.25:
+        return em1 - t
+    s = 1.0
+    for k in range(14, 2, -1):  # t^2/2 (1 + t/3 (1 + t/4 (...)))
+        s = 1.0 + t * s / k
+    return 0.5 * t * t * s
+
+
+def _log_newton(lx: float, w: float) -> tuple[float, int]:
+    """(w, iterations) solving w + ln|w| = lx by Newton's method from w.
+
+    With lx = ln|x| this is W-1(x) for x < 0 and W0(x) for large x > 0.
+    """
+    for iterations in range(1, _MAX_ITER + 1):
+        step = (w + math.log(abs(w)) - lx) / (1.0 + 1.0 / w)
         w -= step
-        if abs(step) <= 4.0 * math.ulp(w):
+        if abs(step) <= _STEP_RTOL * abs(w):
+            break
+    return w, iterations
+
+
+def _halley(x: float, w: float) -> tuple[float, int]:
+    """(w, iterations) for W0(x) by Halley's method on w e^w - x from w."""
+    for iterations in range(1, _MAX_ITER + 1):
+        ew = math.exp(w)
+        f = w * ew - x
+        w1 = w + 1.0
+        step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+        w -= step
+        if abs(step) <= _STEP_RTOL * abs(w):
             break
     return w, iterations
 
@@ -192,17 +206,18 @@ def solve_xlog(a: float, b: float, branch: BranchChoice = BranchChoice.PRINCIPAL
 def w_derivative(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> float:
     """dW/dx, defined strictly inside the branch domain (x != -1/e).
 
-    Uses W'(x) = W / (x (1 + W)) for x != 0; the principal branch has the
+    Uses W'(x) = W / (x (1 + W)) for x != 0, with 1 + W formed without
+    cancellation near the branch point; the principal branch has the
     removable value W'(0) = 1.
     """
     if math.isnan(x):
         raise DomainError("W' is undefined for NaN")
-    if x <= BRANCH_POINT + _SNAP:
+    if x <= BRANCH_POINT:
         raise DomainError("W' diverges at the branch point -1/e and is undefined below it")
     if branch is BranchChoice.PRINCIPAL and x == 0.0:
         return 1.0
-    w = eval_w(x, branch).value
-    return w / (x * (1.0 + w))
+    w, one_plus_w, _ = _solve(x, branch)
+    return w / (x * one_plus_w)
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:

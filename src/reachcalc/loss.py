@@ -17,7 +17,7 @@ import math
 
 from ._record import Record
 from .errors import DomainError
-from .lambertw import BRANCH_POINT, BranchChoice, eval_w
+from .lambertw import BRANCH_POINT, BranchChoice, _solve, eval_w
 from .lambertw import w_derivative  # unused; reachbench/layers.py wraps it here
 
 __all__ = [
@@ -59,11 +59,12 @@ def f_prime(z: float) -> float:
     """f'(z) = -exp(-2 W0(z)) / (1 + W0(z)), defined strictly above -1/e; f'(0) = -1.
 
     From W0'(z) = exp(-W0) / (1 + W0): no division by z, so no special case at 0.
+    1 + W0 comes from W's branch-point iteration near -1/e, without cancellation.
     """
     if math.isnan(z) or z <= BRANCH_POINT:
         raise DomainError(f"f' needs z strictly above -1/e, got {z!r}")
-    w = eval_w(z, BranchChoice.PRINCIPAL).value
-    return -math.exp(-2.0 * w) / (1.0 + w)
+    w, one_plus_w, _ = _solve(z, BranchChoice.PRINCIPAL)
+    return -math.exp(-2.0 * w) / one_plus_w
 
 
 def matching_loss(z_hat: float, z: float) -> LossEvaluation:

@@ -6,9 +6,11 @@ recovered by inverting through the Lambert W function:
     P = exp(W_-1(-h ln2))   (lower branch, the default: P in (0, 1/e])
     P = exp(W_0(-h ln2))    (principal branch: P in [1/e, 1))
 
-The domain is 0 < h <= 1/(e ln2); both branches meet at the right endpoint
-where P = 1/e.  An energy form divides the Landauer work E = k T ln2 h back
-out, so the ln2 factors cancel exactly.
+Since W e^W = x, P is computed as x / W(x) with x = -h ln2, which carries
+W's relative error into P unamplified, where exp would multiply W's error by
+|W|.  The domain is 0 < h <= 1/(e ln2); both branches meet at the right
+endpoint where P = 1/e.  An energy form divides the Landauer work
+E = k T ln2 h back out by the same unit k T ln2 that work_to_entropy uses.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def reach_from_variation(variation: float, branch: BranchChoice = BranchChoice.L
         raise DomainError(
             f"entropy variation {variation!r} above the maximum 1/(e ln2) = {VARIATION_MAX}"
         )
-    v = min(variation, VARIATION_MAX)
-    return math.exp(eval_w(-v * LN2, branch).value)
+    x = -min(variation, VARIATION_MAX) * LN2
+    return x / eval_w(x, branch).value  # = exp(W(x)), since W e^W = x
 
 
 def reach_from_energy(
@@ -89,7 +91,8 @@ def reach_from_energy(
     """Reachability from the energy form E = k T ln2 h.
 
     Dividing by k T ln2 recovers the variation, so the valid window is
-    0 < E <= k T / e and the ln2 factors cancel exactly.
+    0 < E <= k T / e, and the result equals
+    reach_from_variation(work_to_entropy(E, T)) exactly.
     """
     unit = _landauer_unit(temperature)  # validates temperature
     if math.isnan(energy) or energy < 0.0:

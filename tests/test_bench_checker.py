@@ -6,7 +6,9 @@ mpmath value at 4 ulps, solution lists against its own target-prefix walk,
 and every hit row of a search trace on its own interpreter.  Here one
 fixed-seed deck of each timed workload, every op of it, runs through
 cli.main, and the checker must find no fault.  A mutant of one printed
-output per deck shows that it would find one.
+output per deck shows that it would find one.  The benchmark's defect probe
+(a numeric deck of W, reachability and loss ops, and a few reports) must
+pass the same checker for the first five probe seeds.
 
 The benchmark's modules are loaded from their files, the way
 test_bench_tracer.py loads layers.py; check.py imports reference and
@@ -91,3 +93,17 @@ def test_every_op_of_a_deck_passes_the_benchmark_checker(bench, workload):
             mutant = drop_last_row(out)
         assert mutant != out
         assert checker(op, code, mutant, err) is not None, op.argv
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_the_defect_probe_passes_the_benchmark_checker(bench, seed):
+    # Drawn as run.py draws it for --seed SEED.
+    check, workloads, mpmath = bench
+    checker = check.Checker()
+    failures = []
+    with mpmath.workdps(50):
+        for op in workloads.defect_probe(random.Random(f"defect probe {seed}")):
+            reason = checker(op, *run_op(op))
+            if reason is not None:
+                failures.append(f"{' '.join(op.argv)} -> {reason}")
+    assert failures == []

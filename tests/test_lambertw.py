@@ -1,6 +1,7 @@
 """Tests for the real Lambert W branches and the x*log_a(x) = b solver."""
 
 import math
+import random
 import re
 import sys
 
@@ -56,16 +57,26 @@ def test_branch_point_both_branches():
         assert eval_w(BRANCH_POINT, branch).value == -1.0
 
 
-def test_branch_point_snap_within_ulps():
+def test_the_doubles_next_to_the_branch_point():
+    # BRANCH_POINT lies below the true -1/e, so the double above it is
+    # in-domain with W off -1, and the double below it is out of the domain.
     x = BRANCH_POINT + math.ulp(BRANCH_POINT)
-    assert eval_w(x, LOWER).value == -1.0
+    assert eval_w(x, LOWER).value == -1.0000000153042543  # mpmath, 50 digits
+    for branch in (PRINCIPAL, LOWER):
+        with pytest.raises(DomainError, match="no real value"):
+            eval_w(BRANCH_POINT - math.ulp(BRANCH_POINT), branch)
+
+
+def test_subnormal_arguments_are_exact():
+    for x in (5e-324, -5e-324, -1e-300):
+        assert eval_w(x, PRINCIPAL).value == x
 
 
 def test_lower_branch_sample_against_oracle():
-    # The solver promises a residual bound, not a value bound.  Down the flat
-    # tail of the lower branch (x -> 0-), f'(w) = e^w (1 + w) shrinks, so a
-    # residual of 1e-12 pins w only to 1e-12 / |f'(w)|.  Compare against the
-    # bisection oracle with exactly that conditioning slack.
+    # The bisection oracle steers by the sign of the float residual.  Down
+    # the flat tail of the lower branch (x -> 0-), f'(w) = e^w (1 + w)
+    # shrinks, so a residual of 1e-12 pins w only to 1e-12 / |f'(w)|.
+    # Compare against the oracle with that conditioning slack.
     for x in (-0.35, -0.2, -0.1, -0.05, -1e-3, -1e-8):
         got = eval_w(x, LOWER).value
         ref = oracles.bisect_w(x, lower=True)
@@ -127,10 +138,48 @@ def test_iterations_capped_and_reported():
     assert 1 <= ev.iterations <= 64
 
 
-def test_series_zone_reports_zero_iterations():
-    ev = eval_w(BRANCH_POINT + 1e-7, LOWER)
-    assert ev.iterations == 0
-    assert ev.residual <= 1e-9
+# ------------------------------------------------------ ulps against mpmath
+
+ULP_BUDGET = 4
+
+
+def _log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi)
+
+
+def _above_branch_point(rng):
+    # x + 1/e log-uniform in 1e-16..0.3; every such double lies above the true -1/e.
+    return BRANCH_POINT + _log_uniform(rng, -16, math.log10(0.3))
+
+
+REGIONS = {
+    "tiny |x|, lower": lambda rng: (-_log_uniform(rng, -300, -1), LOWER),
+    "tiny |x|, principal": lambda rng: (rng.choice((-1.0, 1.0)) * _log_uniform(rng, -300, -1),
+                                        PRINCIPAL),
+    "x + 1/e in 1e-16..0.3, lower": lambda rng: (_above_branch_point(rng), LOWER),
+    "x + 1/e in 1e-16..0.3, principal": lambda rng: (_above_branch_point(rng), PRINCIPAL),
+    "x in (-1/e, 0), lower": lambda rng: (rng.uniform(BRANCH_POINT, 0.0), LOWER),
+    "x in (-1/e, 0), principal": lambda rng: (rng.uniform(BRANCH_POINT, 0.0), PRINCIPAL),
+    "x up to the float maximum": lambda rng: (_log_uniform(rng, -300, 308.25), PRINCIPAL),
+}
+
+
+@pytest.mark.parametrize("seed, region", enumerate(REGIONS, start=1))
+def test_w_within_4_ulps_of_mpmath(seed, region):
+    """Every region's iteration stops on its step, and lands within the budget
+    of the 50-digit value; 300 fixed samples per region."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    worst = (0.0, None)
+    with mpmath.workdps(50):
+        for _ in range(300):
+            x, branch = REGIONS[region](rng)
+            if x == BRANCH_POINT or x == 0.0:  # exact, and not in the region
+                continue
+            exact = mpmath.lambertw(x, -1 if branch is LOWER else 0).real
+            ulps = float(abs(eval_w(x, branch).value - exact)) / math.ulp(float(exact))
+            worst = max(worst, (ulps, x), key=lambda pair: pair[0])
+    assert worst[0] <= ULP_BUDGET, worst
 
 
 # ------------------------------------------------------------------ invariants
@@ -139,7 +188,7 @@ def test_series_zone_reports_zero_iterations():
 @given(st.floats(min_value=-0.367, max_value=1e8, allow_nan=False))
 def test_principal_identity_residual(x):
     ev = eval_w(x, PRINCIPAL)
-    assert residual_ok(ev) or abs(x - BRANCH_POINT) < 1e-5
+    assert residual_ok(ev)
     assert ev.value >= -1.0
     assert abs(ev.value * math.exp(ev.value) - x) == ev.residual
 
@@ -147,7 +196,7 @@ def test_principal_identity_residual(x):
 @given(st.floats(min_value=-0.367, max_value=-1e-12, allow_nan=False))
 def test_lower_identity_residual(x):
     ev = eval_w(x, LOWER)
-    assert residual_ok(ev) or abs(x - BRANCH_POINT) < 1e-5
+    assert residual_ok(ev)
     assert ev.value <= -1.0
 
 
@@ -225,6 +274,22 @@ def test_derivative_matches_finite_difference():
     for x, branch in ((0.5, PRINCIPAL), (3.0, PRINCIPAL), (-0.2, LOWER), (-0.05, LOWER)):
         fd = (eval_w(x + h, branch).value - eval_w(x - h, branch).value) / (2 * h)
         assert w_derivative(x, branch) == pytest.approx(fd, rel=1e-6)
+
+
+def test_derivative_near_the_branch_point_against_mpmath():
+    """1 + W comes from the branch-point iteration, so W' = W / (x (1 + W))
+    keeps its relative accuracy as x approaches -1/e."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    xs = [BRANCH_POINT + k * math.ulp(BRANCH_POINT) for k in range(1, 9)]
+    xs += [_above_branch_point(rng) for _ in range(100)]
+    with mpmath.workdps(50):
+        for x in xs:
+            for branch, k in ((PRINCIPAL, 0), (LOWER, -1)):
+                w = mpmath.lambertw(x, k).real
+                exact = w / (x * (1 + w))
+                got = w_derivative(x, branch)
+                assert abs(got - exact) <= 4 * sys.float_info.epsilon * abs(exact), (x, branch)
 
 
 def test_derivative_domain():

@@ -1,6 +1,8 @@
 """Tests for the convex link f(z) = exp(-W0(z)) and its matching loss."""
 
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,28 @@ def test_f_prime_small_z_against_mpmath():
                     w = mpmath.lambertw(z).real
                     exact = -mpmath.exp(-2 * w) / (1 + w)
                     assert abs(f_prime(z) - exact) <= 1e-11 * abs(exact), z
+
+
+def test_f_prime_near_the_branch_point_against_mpmath():
+    """1 + W0 comes from W's branch-point iteration, not from 1.0 + w, so
+    f' = -exp(-2 W0)/(1 + W0) keeps its relative accuracy down to the
+    double next to -1/e."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    zs = [BRANCH_POINT + k * math.ulp(BRANCH_POINT) for k in range(1, 9)]
+    zs += [BRANCH_POINT + 10.0 ** rng.uniform(-16, -1) for _ in range(100)]
+    with mpmath.workdps(50):
+        for z in zs:
+            w = mpmath.lambertw(z).real
+            exact = -mpmath.exp(-2 * w) / (1 + w)
+            assert abs(f_prime(z) - exact) <= 4 * sys.float_info.epsilon * abs(exact), z
+
+
+def test_matching_loss_with_a_target_next_to_the_branch_point():
+    # f'(z) is about -2.4e8 here; the reference divergence is
+    # 1895107655.8288758 (mpmath, 50 digits).
+    ev = matching_loss(15.557747348056452, -0.3678794411714416)
+    assert ev.divergence == pytest.approx(1895107655.8288758, rel=1e-14)
 
 
 def test_f_prime_domain():

@@ -1,13 +1,14 @@
 """Tests for the reachability inversion P log2 P = -variation."""
 
 import math
+import random
 import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reachcalc.entropy import VARIATION_MAX, entropy_to_work
+from reachcalc.entropy import VARIATION_MAX, entropy_to_work, work_to_entropy
 from reachcalc.errors import DegenerateSetWarning, DomainError, EmptySetError
 from reachcalc.lambertw import BranchChoice
 from reachcalc.reachability import (
@@ -119,14 +120,39 @@ def test_roundtrip_against_bisection_oracle():
 # ---------------------------------------------------------------- energy form
 
 
-def test_energy_form_cancels_ln2_exactly():
+def test_energy_form_is_the_variation_form_of_its_entropy():
+    # Both divide by the one Landauer unit k T ln2, so this holds exactly,
+    # even where the round trip h -> E -> h moves h by an ulp.
     for h in (0.1, 0.25, 0.5):
         for temperature in (1.0, 300.0, 1000.0):
             for branch in (LOWER, PRINCIPAL):
                 energy = entropy_to_work(h, temperature)
                 assert reach_from_energy(energy, temperature, branch) == reach_from_variation(
-                    h, branch
+                    work_to_entropy(energy, temperature), branch
                 )
+
+
+def test_energy_and_variation_forms_within_4_ulps_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for h in (0.1, 0.25, 0.5):
+            for branch, k in ((LOWER, -1), (PRINCIPAL, 0)):
+                exact = mpmath.exp(mpmath.lambertw(-mpmath.mpf(h) * mpmath.log(2), k).real)
+                budget = 4 * math.ulp(float(exact))
+                assert abs(reach_from_variation(h, branch) - exact) <= budget, (h, branch)
+                for temperature in (1.0, 300.0, 1000.0):
+                    energy = entropy_to_work(h, temperature)
+                    got = reach_from_energy(energy, temperature, branch)
+                    assert abs(got - exact) <= budget, (h, temperature, branch)
+
+
+def test_lower_branch_returns_p_from_its_own_variation():
+    """reach_from_variation(-p log2 p) is p again, to 4 ulps, for p well below
+    1/e: the reachabilities that report prints.  3,000 log-uniform p."""
+    rng = random.Random(3)
+    for _ in range(3000):
+        p = 10.0 ** rng.uniform(-7, -1)
+        assert abs(reach_from_variation(-p * math.log2(p), LOWER) - p) <= 4 * math.ulp(p), p
 
 
 def test_energy_window():
