@@ -6,9 +6,31 @@ between a prediction z_hat and a target z is the Bregman divergence
 
     loss = f(z_hat) - f(z) - f'(z) (z_hat - z) >= 0,
 
-zero exactly when z_hat = z.  Convexity is certified numerically by second
-central differences over one fixed grid, [-1/e + 1e-3, 10] at step 1e-2,
-since that is what the divergence's nonnegativity rests on.
+zero exactly when z_hat = z.  That subtraction cancels when z_hat is close
+to z.  So with w = W0(z), t = 1 + w and d = W0(z_hat) - w, the divergence
+is formed for |d| <= 1 as
+
+    loss = e^-w / t * [t (e^-d - 1 + d) + w (e^d - 1 - d) + d expm1(d)],
+
+where only the middle term can be negative, for w in (-1, 0), and the last
+term outweighs it.  d starts as the difference of the two values of 1 + W0,
+which W's branch-point iteration gives to full relative accuracy.  When d
+is at most half of both values of 1 + W0, Newton's method refines it on
+
+    (w + d) e^d - w = (z_hat - z) e^-w,
+
+that is W0(z_hat) e^W0(z_hat) = z_hat over e^w: the difference alone is off
+by about eps (1 + |w|), a large relative error in a small d.  When d is
+larger the difference is accurate, while the equation loses accuracy as
+1 + W0(z_hat) goes to 0.  For |d| > 1 the terms of the definition cancel
+little, while e^d would carry the rounding of d, which grows with |w|, so
+the definition is used.  Both values of f enter the divergence as W0(x)/x:
+exp(-w) multiplies the rounding of w by |w|, and exp(-2w) underflows from
+w = 372 on, where the slope term still counts.
+
+Convexity is certified numerically by second central differences over one
+fixed grid, [-1/e + 1e-3, 10] at step 1e-2, since that is what the
+divergence's nonnegativity rests on.
 """
 
 from __future__ import annotations
@@ -17,7 +39,7 @@ import math
 
 from ._record import Record
 from .errors import DomainError
-from .lambertw import BRANCH_POINT, BranchChoice, _solve, eval_w
+from .lambertw import _MAX_ITER, _STEP_RTOL, BRANCH_POINT, BranchChoice, _exp_tail, _solve, eval_w
 from .lambertw import w_derivative  # unused; reachbench/layers.py wraps it here
 
 __all__ = [
@@ -67,20 +89,44 @@ def f_prime(z: float) -> float:
     return -math.exp(-2.0 * w) / one_plus_w
 
 
+def _exp_neg_w(z: float, w: float) -> float:
+    """e^-w for w = W0(z), as w/z: it keeps the relative accuracy of w, which
+    exp(-w) multiplies by |w|."""
+    return w / z if z else 1.0
+
+
 def matching_loss(z_hat: float, z: float) -> LossEvaluation:
     """Bregman divergence of f between a prediction z_hat and a target z.
 
     Both arguments must lie strictly above -1/e (the slope at the branch
-    point diverges).  The divergence is nonnegative up to float noise and
-    vanishes iff z_hat == z.
+    point diverges).  The divergence comes from the cancellation-free form
+    of the module docstring; it is nonnegative and vanishes iff z_hat == z.
     """
     for name, v in (("z_hat", z_hat), ("z", z)):
         if math.isnan(v) or v <= BRANCH_POINT:
             raise DomainError(f"{name} must lie strictly above -1/e, got {v!r}")
-    f_hat = f_exp_negw(z_hat)
-    f_z = f_exp_negw(z)
-    divergence = f_hat - f_z - f_prime(z) * (z_hat - z)
-    return LossEvaluation(z_hat, z, f_hat, f_z, divergence)
+    w_hat, one_plus_w_hat, _ = _solve(z_hat, BranchChoice.PRINCIPAL)
+    w, one_plus_w, _ = _solve(z, BranchChoice.PRINCIPAL)
+    f_hat, f_z = math.exp(-w_hat), math.exp(-w)
+    exp_neg_w = _exp_neg_w(z, w)
+    shift = (z_hat - z) * exp_neg_w
+    d = one_plus_w_hat - one_plus_w
+    if abs(d) > 1.0:
+        divergence = _exp_neg_w(z_hat, w_hat) - exp_neg_w + exp_neg_w * shift / one_plus_w
+        return LossEvaluation(z_hat, z, f_hat, f_z, divergence)
+    if abs(d) <= min(one_plus_w, one_plus_w_hat) / 2:
+        step = math.inf
+        for _ in range(_MAX_ITER):
+            em1 = math.expm1(d)
+            residual = (one_plus_w + d) * em1 - _exp_tail(d, em1) - shift
+            last, step = step, residual / ((one_plus_w + d) * (em1 + 1.0))
+            d -= step
+            # From this start a step that fails to halve the last is rounding noise.
+            if abs(step) <= _STEP_RTOL * abs(d) or abs(step) > abs(last) / 2:
+                break
+    em1 = math.expm1(d)
+    bracket = one_plus_w * _exp_tail(-d, math.expm1(-d)) + w * _exp_tail(d, em1) + d * em1
+    return LossEvaluation(z_hat, z, f_hat, f_z, exp_neg_w / one_plus_w * bracket)
 
 
 def convexity_certificate() -> ConvexityCertificate:

@@ -27,8 +27,9 @@ and its output never shrinks.  So the step cap is a bound on the opcode
 count, which run checks before it runs a program; run also takes an output
 cap.  Enumeration and search run programs at the target's width, so a
 candidate stops as soon as its output outgrows the target, and they count
-as solutions only programs run accepts.  Enumeration refuses
-2^max_len > DEFAULT_ENUM_BUDGET.
+as solutions only programs run accepts.  The gate 2^max_len <=
+DEFAULT_ENUM_BUDGET belongs to enumeration and the reports built on it;
+kolmogorov_upper enumerates nothing and takes K(rho) from the prefix table.
 """
 
 from __future__ import annotations
@@ -242,17 +243,21 @@ def enumerate_solutions(
 
 
 def kolmogorov_upper(rho: Problem | str, max_len: int = DEFAULT_MAX_LEN) -> ComplexityBound | None:
-    """Length of the shortest solution of rho within max_len, with witness.
+    """Length of the shortest solution of rho, with witness; None when that
+    length exceeds max_len.
 
-    Ties go to the lexicographically smallest program.  None when no
-    solution exists within the cap.
+    The length is K(rho) on this machine, twice the shortest class that the
+    kernel's prefix table gives, so nothing is enumerated and max_len only
+    caps the answer.  Ties go to the lexicographically smallest program,
+    the first hit of the target-prefix walk in that class.
     """
-    problem = _as_problem(rho)
-    for hits in _class_hits(problem, max_len):
-        if hits:
-            witness = Program(hits[0])
-            return ComplexityBound(witness.length, witness)
-    return None
+    target = _as_problem(rho).target
+    _check_even_length("max_len", max_len, 0)
+    n_opcodes = _core_py.shortest_class(target)
+    if 2 * n_opcodes > max_len:
+        return None
+    first = _core_py.class_hit_ranks(n_opcodes, target)[0]
+    return ComplexityBound(2 * n_opcodes, Program(_core_py.rank_bits(n_opcodes, first)))
 
 
 def _check_scheme(scheme: Scheme) -> None:

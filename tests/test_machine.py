@@ -1,9 +1,12 @@
 """Tests for the toy machine: validation, execution, enumeration, reports."""
 
 import functools
+import importlib.util
 import math
+import random
 import warnings
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,8 @@ from reachcalc.errors import (
 from reachcalc.lambertw import BranchChoice
 from reachcalc.machine import (
     CORE_BACKEND,
-    DEFAULT_ENUM_BUDGET,
     DEFAULT_MAX_STEPS,
+    ComplexityBound,
     Problem,
     Program,
     Scheme,
@@ -36,6 +39,8 @@ from reachcalc.machine import (
 )
 
 import oracles
+
+BENCH = Path(__file__).resolve().parent.parent / "reachbench"
 
 # Random valid programs: free opcodes then HALT.
 program_bits = st.lists(
@@ -243,18 +248,22 @@ def test_enumerate_no_solutions():
 
 
 def test_enumerate_budget():
-    for max_len in range(0, 65, 2):  # the gate refuses exactly 2^max_len > budget
-        if 2**max_len > DEFAULT_ENUM_BUDGET:
-            with pytest.raises(ResourceExceeded):
-                kolmogorov_upper("0", max_len)
-        else:
+    # The gate bounds enumeration only.  kolmogorov_upper reads K from the
+    # prefix table, so max_len only caps its answer: None exactly when K
+    # exceeds the cap.
+    for max_len in (26, 10**11):
+        assert kolmogorov_upper("0", max_len) == ComplexityBound(4, Program("0011"))
+    for target in ("", "0", "0101", "01" * 8, "0110100110010110"):
+        least = 2 * _core_py.shortest_class(target)
+        for max_len in range(0, 67, 2):
+            assert (kolmogorov_upper(target, max_len) is None) == (least > max_len), target
+    for max_len in (7, -1, -2):
+        with pytest.raises(DomainError):
             kolmogorov_upper("0", max_len)
     for max_len in (26, 10**11):  # no power of max_len is formed
         message = rf"^2\^{max_len} candidate strings exceed the enumeration budget 16777216$"
         with pytest.raises(ResourceExceeded, match=message):
             enumerate_solutions("0", max_len=max_len)
-        with pytest.raises(ResourceExceeded, match=message):
-            kolmogorov_upper("0", max_len)
     with pytest.raises(DomainError):
         enumerate_solutions("0", max_len=7)
     with pytest.raises(DomainError):
@@ -298,6 +307,19 @@ def test_scan_at_the_target_width_matches_the_64_bit_oracle():
             assert _core_py.scan_length_class(n, target) == [
                 bits for bits, out in outputs if out == target
             ], (n, target)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """reachbench/reference.py, loaded from its file; it needs mpmath and
+    sets mpmath's precision on import, which is restored."""
+    mpmath = pytest.importorskip("mpmath")
+    dps = mpmath.mp.dps
+    spec = importlib.util.spec_from_file_location("reference", BENCH / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    mpmath.mp.dps = dps
+    return module
 
 
 def _targets(max_bits):
@@ -444,6 +466,8 @@ def test_kolmogorov_upper_runs_at_the_problem_width():
 
 
 def test_kolmogorov_upper_pinned():
+    assert kolmogorov_upper("01101001100", 24) == ComplexityBound(
+        24, Program("000101000100000101000011"))
     assert kolmogorov_upper("").bits == 2
     assert kolmogorov_upper("").witness.bits == "11"
     assert kolmogorov_upper("0").bits == 4
@@ -456,6 +480,37 @@ def test_kolmogorov_upper_pinned():
 
 def test_kolmogorov_upper_none_when_out_of_reach():
     assert kolmogorov_upper("01010101", 8) is None
+
+
+def test_kolmogorov_upper_gives_every_answer_of_the_brute_force_scan():
+    """For every target of <= 8 bits and every even cap up to 24 bits: the
+    oracle table's first program when it fits the cap, else None."""
+    table = _oracle_table()
+    for target in _targets(8):
+        shortest = table[target][0]
+        for max_len in range(0, 25, 2):
+            want = ComplexityBound(len(shortest), Program(shortest))
+            assert kolmogorov_upper(target, max_len) == (
+                want if want.bits <= max_len else None), (target, max_len)
+
+
+def test_kolmogorov_upper_matches_the_reference_walk(reference):
+    """K and its witness against the benchmark's own walk, which shares no
+    code with the package, for every target of <= 10 bits."""
+    for target in _targets(10):
+        bound = kolmogorov_upper(target, 64)
+        assert bound.bits == reference.complexity(target), target
+        assert bound.witness.bits == reference.class_solutions(target, bound.bits // 2)[0], target
+
+
+def test_kolmogorov_upper_of_long_targets():
+    assert kolmogorov_upper("0110100110010110", 64).bits == 34
+    rng = random.Random(64)
+    for _ in range(200):
+        target = "".join(rng.choice("01") for _ in range(64))
+        bound = kolmogorov_upper(target, 130)
+        assert run(bound.witness, max_output_bits=64) == target
+        assert bound.bits == bound.witness.length == 2 * _core_py.shortest_class(target)
 
 
 def test_kolmogorov_upper_never_beats_literal():

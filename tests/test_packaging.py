@@ -3,8 +3,9 @@
 The build runs on a copy of the project files in a temporary directory, so
 that no egg-info lands in the tree, and in a child process with a timeout.
 It calls the setuptools backend directly, so no pip and no network are
-involved.  It does not check the `setuptools>=68` floor of `pyproject.toml`:
-the backend is whichever setuptools is installed.  No wheel is built.
+involved.  The backend is whichever setuptools is installed, so the test
+also checks that it meets the floor `pyproject.toml` declares: a floor no
+build here has met is a claim nothing checked.  No wheel is built.
 """
 
 import configparser
@@ -28,6 +29,11 @@ METADATA = {
 }
 
 
+def release(version: str) -> tuple[int, ...]:
+    """The numeric release parts of a version string: "65.5.0" -> (65, 5, 0)."""
+    return tuple(int(part) for part in version.split(".") if part.isdigit())
+
+
 def test_sdist_holds_the_package_modules_and_declares_the_script(tmp_path):
     project = tmp_path / "project"
     shutil.copytree(ROOT / "src", project / "src",
@@ -35,12 +41,19 @@ def test_sdist_holds_the_package_modules_and_declares_the_script(tmp_path):
     for name in ("pyproject.toml", "README.md"):
         shutil.copy(ROOT / name, project / name)
     code = ("import sys\n"
+            "import setuptools\n"
             "from setuptools import build_meta\n"
-            "print(build_meta.build_sdist(sys.argv[1]))\n")
+            "name = build_meta.build_sdist(sys.argv[1])\n"
+            "print(setuptools.__version__)\n"
+            "print(name)\n")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "dist")], cwd=project,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    archive = tmp_path / "dist" / done.stdout.splitlines()[-1]
+    version, name = done.stdout.splitlines()[-2:]
+    archive = tmp_path / "dist" / name
+
+    floor = (ROOT / "pyproject.toml").read_text().split('"setuptools>=', 1)[1].split('"', 1)[0]
+    assert release(version) >= release(floor), (version, floor)
 
     with tarfile.open(archive) as tar:
         root = archive.name.removesuffix(".tar.gz")
