@@ -192,15 +192,18 @@ def solve_xlog(a: float, b: float, branch: BranchChoice = BranchChoice.PRINCIPAL
     """Solve x * log_a(x) = b for x.
 
     Rewriting with natural logs gives ln(x) * e^{ln x} = b * ln(a), so
-    x = exp(W(b * ln a)).  The branch picks which of the (up to two) real
-    solutions is returned; the lower branch needs b * ln(a) in [-1/e, 0).
+    x = exp(W(y)) with y = b * ln a.  Since W(y) e^W(y) = y, x is formed as
+    y / W(y) (1 at y = 0), which keeps W's relative accuracy, where exp
+    would multiply W's rounding by |W|.  The branch picks which of the (up
+    to two) real solutions is returned; the lower branch needs y in [-1/e, 0).
     """
     if not (a > 1.0) or not math.isfinite(a):
         raise DomainError(f"log base must be finite and > 1, got {a!r}")
     if not math.isfinite(b):
         raise DomainError(f"right-hand side must be finite, got {b!r}")
-    arg = b * math.log(a)
-    return math.exp(eval_w(arg, branch).value)
+    y = b * math.log(a)
+    w = eval_w(y, branch).value
+    return y / w if y else 1.0
 
 
 def w_derivative(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> float:

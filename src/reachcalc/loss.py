@@ -1,8 +1,11 @@
 """The convex link f(z) = exp(-W0(z)) and its matching (Bregman) loss.
 
-f is convex and strictly decreasing on [-1/e, inf), with the cross-check
-identity f(z) = W0(z)/z for z != 0 and slope f'(0) = -1.  The matching loss
-between a prediction z_hat and a target z is the Bregman divergence
+f is convex and strictly decreasing on [-1/e, inf), with slope
+f'(z) = -f(z)^2 / (1 + W0(z)) and f'(0) = -1.  Since W0(z) e^W0(z) = z,
+every value of f is formed as W0(z)/z (1 at z = 0), never as exp(-W0(z)):
+the quotient keeps the relative accuracy of W0, which exp(-w) would
+multiply by |w|.  The matching loss between a prediction z_hat and a
+target z is the Bregman divergence
 
     loss = f(z_hat) - f(z) - f'(z) (z_hat - z) >= 0,
 
@@ -24,9 +27,9 @@ by about eps (1 + |w|), a large relative error in a small d.  When d is
 larger the difference is accurate, while the equation loses accuracy as
 1 + W0(z_hat) goes to 0.  For |d| > 1 the terms of the definition cancel
 little, while e^d would carry the rounding of d, which grows with |w|, so
-the definition is used.  Both values of f enter the divergence as W0(x)/x:
-exp(-w) multiplies the rounding of w by |w|, and exp(-2w) underflows from
-w = 372 on, where the slope term still counts.
+the definition is used, with its slope term as f(z) ((z_hat - z) f(z)) / t,
+which stays normal where f(z)^2, like exp(-2w), underflows (from w = 372).
+The divergence reuses the two printed values of f.
 
 Convexity is certified numerically by second central differences over one
 fixed grid, [-1/e + 1e-3, 10] at step 1e-2, since that is what the
@@ -72,27 +75,32 @@ class ConvexityCertificate(Record):
                              lo=lo, hi=hi, step=step)
 
 
+def _exp_neg_w(z: float, w: float) -> float:
+    """e^-w for w = W0(z), as w/z (1 at z = 0): it keeps the relative
+    accuracy of w, which exp(-w) multiplies by |w|."""
+    return w / z if z else 1.0
+
+
 def f_exp_negw(z: float) -> float:
-    """f(z) = exp(-W0(z)), defined for z >= -1/e; f(-1/e) = e, f(0) = 1."""
-    return math.exp(-eval_w(z, BranchChoice.PRINCIPAL).value)
+    """f(z) = exp(-W0(z)), defined for z >= -1/e; f(-1/e) = e, f(0) = 1.
+
+    Formed as W0(z)/z, since W0(z) e^W0(z) = z.
+    """
+    return _exp_neg_w(z, eval_w(z, BranchChoice.PRINCIPAL).value)
 
 
 def f_prime(z: float) -> float:
     """f'(z) = -exp(-2 W0(z)) / (1 + W0(z)), defined strictly above -1/e; f'(0) = -1.
 
-    From W0'(z) = exp(-W0) / (1 + W0): no division by z, so no special case at 0.
-    1 + W0 comes from W's branch-point iteration near -1/e, without cancellation.
+    From W0'(z) = exp(-W0) / (1 + W0), with exp(-W0) formed as W0(z)/z, as in
+    f.  1 + W0 comes from W's branch-point iteration near -1/e, without
+    cancellation.
     """
     if math.isnan(z) or z <= BRANCH_POINT:
         raise DomainError(f"f' needs z strictly above -1/e, got {z!r}")
     w, one_plus_w, _ = _solve(z, BranchChoice.PRINCIPAL)
-    return -math.exp(-2.0 * w) / one_plus_w
-
-
-def _exp_neg_w(z: float, w: float) -> float:
-    """e^-w for w = W0(z), as w/z: it keeps the relative accuracy of w, which
-    exp(-w) multiplies by |w|."""
-    return w / z if z else 1.0
+    f = _exp_neg_w(z, w)
+    return -f * f / one_plus_w
 
 
 def matching_loss(z_hat: float, z: float) -> LossEvaluation:
@@ -107,13 +115,11 @@ def matching_loss(z_hat: float, z: float) -> LossEvaluation:
             raise DomainError(f"{name} must lie strictly above -1/e, got {v!r}")
     w_hat, one_plus_w_hat, _ = _solve(z_hat, BranchChoice.PRINCIPAL)
     w, one_plus_w, _ = _solve(z, BranchChoice.PRINCIPAL)
-    f_hat, f_z = math.exp(-w_hat), math.exp(-w)
-    exp_neg_w = _exp_neg_w(z, w)
-    shift = (z_hat - z) * exp_neg_w
+    f_hat, f_z = _exp_neg_w(z_hat, w_hat), _exp_neg_w(z, w)
+    shift = (z_hat - z) * f_z
     d = one_plus_w_hat - one_plus_w
     if abs(d) > 1.0:
-        divergence = _exp_neg_w(z_hat, w_hat) - exp_neg_w + exp_neg_w * shift / one_plus_w
-        return LossEvaluation(z_hat, z, f_hat, f_z, divergence)
+        return LossEvaluation(z_hat, z, f_hat, f_z, f_hat - f_z + f_z * shift / one_plus_w)
     if abs(d) <= min(one_plus_w, one_plus_w_hat) / 2:
         step = math.inf
         for _ in range(_MAX_ITER):
@@ -126,7 +132,7 @@ def matching_loss(z_hat: float, z: float) -> LossEvaluation:
                 break
     em1 = math.expm1(d)
     bracket = one_plus_w * _exp_tail(-d, math.expm1(-d)) + w * _exp_tail(d, em1) + d * em1
-    return LossEvaluation(z_hat, z, f_hat, f_z, exp_neg_w / one_plus_w * bracket)
+    return LossEvaluation(z_hat, z, f_hat, f_z, f_z / one_plus_w * bracket)
 
 
 def convexity_certificate() -> ConvexityCertificate:

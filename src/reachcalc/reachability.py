@@ -6,11 +6,12 @@ recovered by inverting through the Lambert W function:
     P = exp(W_-1(-h ln2))   (lower branch, the default: P in (0, 1/e])
     P = exp(W_0(-h ln2))    (principal branch: P in [1/e, 1))
 
-Since W e^W = x, P is computed as x / W(x) with x = -h ln2, which carries
-W's relative error into P unamplified, where exp would multiply W's error by
-|W|.  The domain is 0 < h <= 1/(e ln2); both branches meet at the right
-endpoint where P = 1/e.  An energy form divides the Landauer work
-E = k T ln2 h back out by the same unit k T ln2 that work_to_entropy uses.
+With x = -h ln2, P = exp(W(x)) is computed as x / W(x), since W e^W = x.
+The quotient carries W's relative error into P unamplified, where exp would
+multiply W's error by |W|.  The domain is 0 < h <= 1/(e ln2); both branches
+meet at the right endpoint where P = 1/e.  An energy form divides the
+Landauer work E = k T ln2 h back out by the same unit k T ln2 that
+work_to_entropy uses.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ the tree under test, the way an installed wrapper would; the other runs the
 installed `reachcalc` wrapper itself wherever one is on PATH.
 """
 
+import decimal
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -442,11 +444,30 @@ def test_loss_pair(capsys):
     assert "divergence: 0.56714329041" in out
 
 
+def test_loss_prints_f_to_12_correct_digits(capsys):
+    """f_z_hat and f_z print as mpmath's value rounded to 12 digits, for both
+    arguments log-uniform on [1e-3, 1e308].  With exp(-W) in place of W/z,
+    6 of these 2,000 values print a wrong 12th digit."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    twelve = decimal.Context(prec=12)
+    with mpmath.workdps(50):
+        for _ in range(1000):
+            z_hat, z = (10.0 ** rng.uniform(-3, 308) for _ in range(2))
+            assert run_cli("loss", repr(z_hat), repr(z), "--format", "records") == 0
+            fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+            for key, arg in (("f_z_hat", z_hat), ("f_z", z)):
+                exact = mpmath.exp(-mpmath.lambertw(arg).real)
+                want = twelve.plus(decimal.Decimal(mpmath.nstr(exact, 30)))
+                assert decimal.Decimal(fields[key]) == want, (key, arg)
+
+
 def test_loss_convexity_grid(capsys):
     assert run_cli("loss", "--convexity-grid", "--format", "records") == 0
     line = capsys.readouterr().out.strip()
-    # The second difference at these doubles is 1.6748799591241599e-07 (mpmath).
-    assert line.startswith("convex=true min_second_difference=1.67487995861e-07")
+    # The second difference at these doubles is 1.6748799591241599e-07 (mpmath);
+    # a second difference of values of f near 1 holds about 9 digits.
+    assert line.startswith("convex=true min_second_difference=1.67487995945e-07")
     assert "points=1035" in line
 
 

@@ -248,6 +248,30 @@ def test_solve_xlog_outside_window():
         solve_xlog(2.0, -0.6, LOWER)
 
 
+@pytest.mark.parametrize("branch", [PRINCIPAL, LOWER], ids=lambda b: b.value)
+def test_solve_xlog_within_4_ulps_of_mpmath(branch):
+    """x = y / W(y) with y = b ln a, against mpmath's exp(W(y)) at the same
+    double y.  exp(W(y)) would multiply W's rounding by |W|, about 900 ulps
+    at worst on the lower branch."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(31)
+    ys = [-(10.0 ** rng.uniform(-300, math.log10(-BRANCH_POINT))) for _ in range(300)]
+    ys += [BRANCH_POINT + 10.0 ** rng.uniform(-16, math.log10(0.3)) for _ in range(200)]
+    if branch is PRINCIPAL:
+        ys += [10.0 ** rng.uniform(-300, 300) for _ in range(300)]
+    k = 0 if branch is PRINCIPAL else -1
+    with mpmath.workdps(50):
+        for y in ys:
+            a = rng.choice((1.5, 2.0, math.e, 10.0, 1e6))
+            b = y / math.log(a)
+            y = b * math.log(a)  # the double solve_xlog passes to W
+            if y < BRANCH_POINT:
+                continue  # rounding moved y out of W's domain
+            exact = mpmath.exp(mpmath.lambertw(y, k).real)
+            x = solve_xlog(a, b, branch)
+            assert float(abs(x - exact)) <= 4 * math.ulp(float(exact)), (a, b)
+
+
 @given(
     st.floats(min_value=-0.5, max_value=20.0),
     st.floats(min_value=1.5, max_value=10.0),

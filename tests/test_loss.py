@@ -38,10 +38,10 @@ def test_f_at_infinity_is_a_domain_error():
 
 
 def test_f_equals_w_over_z():
-    """Cross-identity f(z) = W(z)/z, direct from W e^W = z."""
+    """f(z) is W(z)/z to the bit, from W e^W = z."""
     for z in (-0.3, -0.05, 0.25, 1.0, 4.0, 9.5):
         w = eval_w(z, BranchChoice.PRINCIPAL).value
-        assert f_exp_negw(z) == pytest.approx(w / z, rel=1e-12)
+        assert f_exp_negw(z) == w / z
 
 
 def test_f_strictly_decreasing():
@@ -65,7 +65,8 @@ def test_f_prime_matches_finite_difference():
 
 
 def test_f_prime_small_z_against_mpmath():
-    """Near 0 the closed form -exp(-2W)/(1+W) keeps full relative accuracy."""
+    """Near 0, f' = -f^2/(1 + W) with f = W(z)/z keeps full relative accuracy:
+    the quotient is close to 1 and nothing cancels."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for k in range(-12, -2):
@@ -89,6 +90,44 @@ def test_f_prime_near_the_branch_point_against_mpmath():
             w = mpmath.lambertw(z).real
             exact = -mpmath.exp(-2 * w) / (1 + w)
             assert abs(f_prime(z) - exact) <= 4 * sys.float_info.epsilon * abs(exact), z
+
+
+def _ulps(got: float, exact) -> float:
+    """|got - exact| in units of the last place of exact rounded to a double."""
+    return float(abs(got - exact)) / math.ulp(float(exact))
+
+
+def _link_samples() -> list[float]:
+    """Seeded z: log-uniform on [1e-300, 1e308], log-uniform -z on
+    [1e-300, 1/e), and z + 1/e log-uniform on [1e-16, 0.3]."""
+    rng = random.Random(23)
+    zs = [10.0 ** rng.uniform(-300, 308) for _ in range(400)]
+    zs += [-(10.0 ** rng.uniform(-300, math.log10(-BRANCH_POINT))) for _ in range(300)]
+    zs += [BRANCH_POINT + 10.0 ** rng.uniform(-16, math.log10(0.3)) for _ in range(300)]
+    return [z for z in zs if z > BRANCH_POINT]
+
+
+def test_f_within_4_ulps_of_mpmath():
+    # exp(-W) would multiply W's rounding by |W|: about 500 ulps at worst here.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for z in _link_samples():
+            exact = mpmath.exp(-mpmath.lambertw(z).real)
+            assert _ulps(f_exp_negw(z), exact) <= 4, z
+
+
+def test_f_prime_within_8_ulps_of_mpmath_where_it_is_normal():
+    # exp(-2W) would multiply W's rounding by 2|W|: about 500 ulps at worst here.
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    with mpmath.workdps(50):
+        for z in _link_samples():
+            w = mpmath.lambertw(z).real
+            exact = -mpmath.exp(-2 * w) / (1 + w)
+            if abs(exact) >= sys.float_info.min:
+                assert _ulps(f_prime(z), exact) <= 8, z
+                checked += 1
+    assert checked > 700
 
 
 def test_matching_loss_with_a_target_next_to_the_branch_point():
@@ -224,7 +263,9 @@ def test_convexity_certificate_default_grid():
     cert = convexity_certificate()
     assert cert.ok
     assert cert.points == 1035
-    assert cert.min_second_difference == pytest.approx(1.6748799597232633e-07, rel=1e-9)
+    # mpmath gives 1.67487995912e-07 at these doubles; a second difference of
+    # values of f near 1 holds about 9 digits.
+    assert cert.min_second_difference == 1.6748799594457076e-07
     assert cert.min_second_difference >= -1e-8
     assert cert.lo == pytest.approx(BRANCH_POINT + 1e-3, rel=1e-15)
     assert cert.hi == 10.0

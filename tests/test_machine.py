@@ -337,10 +337,29 @@ def _oracle_table():
     return table
 
 
-def test_enumerate_matches_the_oracle_through_the_derived_classes():
+@functools.cache
+def _class_outputs(n_opcodes, width):
+    """Output -> the programs of n_opcodes opcodes printing it, each run once
+    at width through the kernel's interpreter: scan_length_class's brute
+    force, shared by every target of that width."""
+    outputs = {}
+    for bits in _core_py.iter_valid_programs(n_opcodes):
+        outputs.setdefault(_core_py.run_bits(bits, width), []).append(bits)
+    return outputs
+
+
+def _shared_scan(n_opcodes, target):
+    """scan_length_class(n_opcodes, target), from the shared brute force."""
+    return list(_class_outputs(n_opcodes, len(target)).get(target, []))
+
+
+def test_enumerate_matches_the_oracle_through_the_derived_classes(monkeypatch):
     """Enumeration scans the classes from the shortest one to len + 1 and
     builds the rest; at 9 opcodes every target of <= 7 bits has at least
-    one built class."""
+    one built class.  Its scans come from the shared brute force, which
+    test_class_hit_ranks_match_the_brute_force_scan holds to
+    scan_length_class, so each class runs once per width, not per target."""
+    monkeypatch.setattr(_core_py, "scan_length_class", _shared_scan)
     table = _oracle_table()
     for target in _targets(8):
         got = [p.bits for p in enumerate_solutions(target, 18).programs]
@@ -366,7 +385,7 @@ def test_the_prefix_table_matches_the_oracle():
 def test_each_class_past_len_plus_one_is_the_class_below_behind_a_double():
     """The identity enumeration builds on, checked on the brute-force scan."""
     for target in _targets(6):
-        scans = {n: _core_py.scan_length_class(n, target) for n in range(len(target) + 1, 10)}
+        scans = {n: _shared_scan(n, target) for n in range(len(target) + 1, 10)}
         for n in range(len(target) + 2, 10):
             assert scans[n] == [_core_py.DOUBLE + p for p in scans[n - 1]], (target, n)
 
@@ -402,6 +421,7 @@ def test_class_hit_ranks_match_the_brute_force_scan():
         for size in range(7):
             for target in map("".join, product("01", repeat=size)):
                 brute = _core_py.scan_length_class(n, target)
+                assert _shared_scan(n, target) == brute, (n, target)
                 ranks = _core_py.class_hit_ranks(n, target)
                 assert [programs[r] for r in ranks] == brute, (n, target)
                 for hit in ranks:
