@@ -54,7 +54,7 @@ from .machine import (
     DEFAULT_MAX_LEN,
     Scheme,
     enumerate_solutions,
-    kolmogorov_upper,  # unused here; reachbench/layers.py wraps cli.kolmogorov_upper
+    kolmogorov_upper,
     reachability_report,
 )
 from .reachability import reach_curve, reach_from_energy, reach_from_variation
@@ -189,15 +189,13 @@ def _cmd_solve(args) -> int:
     target = _target_from(args)
     max_len = _given_or_default(args, "max_len")
     solutions = enumerate_solutions(target, max_len, scheme=Scheme(args.scheme))
-    # Programs come in (length, lex) order, so the first is the shortest
-    # solution with kolmogorov_upper's tie-break.
-    first = solutions.programs[0] if solutions.programs else None
+    bound = kolmogorov_upper(target, max_len)
     header = [
         ("target", target),
         ("max_len", max_len),
         ("solutions", len(solutions)),
-        ("k_upper", first.length if first else "none"),
-        ("witness", first.bits if first else "none"),
+        ("k_upper", bound.bits if bound else "none"),
+        ("witness", bound.witness.bits if bound else "none"),
     ]
     rows = [
         {"program": prog.bits, "length": prog.length, "p": solutions.weights[i]}

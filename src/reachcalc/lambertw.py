@@ -9,10 +9,13 @@ Both meet at the branch point x = -1/e where W = -1.  The double
 BRANCH_POINT lies just below the true -1/e; W there is -1, and every x below
 it is out of the domain.  Each in-domain x takes one of three iterations:
 
-* below x = -0.25 on either branch, Halley's method for t = 1 + W on
-  e (w e^w + 1/e) = t expm1(t) - (e^t - 1 - t), with x + 1/e formed in
-  double-double and e^t - 1 - t from its series for |t| < 1/4, started from
-  the branch-point series;
+* below x = -0.25 on either branch, the anchored iteration: Halley's
+  method for d = W(x) - W(z) on (1 + W(z) + d) expm1(d) - (e^d - 1 - d) =
+  (x - z) e^-W(z), that is W(x) e^W(x) - W(z) e^W(z) = x - z over e^W(z),
+  with e^d - 1 - d from its series for |d| < 1/4.  Here it is anchored at the
+  branch point (z, W(z)) = (-1/e, -1), so d = 1 + W and the right side
+  e (x + 1/e) is formed in double-double, started from the branch-point
+  series.  reachcalc.loss anchors it at a target (z, W0(z)) instead;
 * the lower branch from -0.25 up, and the principal branch above 2**1021
   (where Halley's correction term overflows), Newton's method on
   w + ln|w| = ln|x|, started from the logarithmic asymptotics;
@@ -20,7 +23,8 @@ it is out of the domain.  Each in-domain x takes one of three iterations:
   w e^w - x, started from log1p(x) or ln x - ln ln x.
 
 Every iteration stops once its step is at most 2 eps |w|, never on a
-residual.
+residual; the anchored one also needs the step below |d|, and stops on a
+step that fails to halve the last.
 """
 
 from __future__ import annotations
@@ -95,8 +99,9 @@ def eval_w(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> WEvaluati
 
 def _solve(x: float, branch: BranchChoice) -> tuple[float, float, int]:
     """(W(x), 1 + W(x), iterations) on the chosen branch, after the domain
-    checks; 1 + W is the branch-point iteration's t below x = -0.25, so it
-    keeps its relative accuracy as W approaches -1."""
+    checks.  Below x = -0.25 the anchored iteration, anchored at the branch
+    point, gives 1 + W itself, so it keeps its relative accuracy as W
+    approaches -1."""
     if not isinstance(branch, BranchChoice):
         raise DomainError(f"branch must be a BranchChoice, got {branch!r}")
     if math.isnan(x):
@@ -113,7 +118,11 @@ def _solve(x: float, branch: BranchChoice) -> tuple[float, float, int]:
     if branch is BranchChoice.PRINCIPAL and x == 0.0:
         return 0.0, 1.0, 0
     if x < _BRANCH_ZONE:
-        t, iterations = _branch_t(math.e * ((x - BRANCH_POINT) + _E_LO), branch)
+        # Anchored at the branch point, started from its series
+        # W = -1 + p - p^2/3 + 11 p^3/72 with p = +/- sqrt(2 e (x + 1/e)).
+        s = math.e * ((x - BRANCH_POINT) + _E_LO)
+        p = math.sqrt(2.0 * s) if branch is BranchChoice.PRINCIPAL else -math.sqrt(2.0 * s)
+        t, iterations = _anchored(0.0, s, p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0))))
         return t - 1.0, t, iterations
     if branch is BranchChoice.LOWER:
         l1 = math.log(-x)
@@ -128,27 +137,34 @@ def _solve(x: float, branch: BranchChoice) -> tuple[float, float, int]:
     return w, 1.0 + w, iterations
 
 
-def _branch_t(eq: float, branch: BranchChoice) -> tuple[float, int]:
-    """(t, iterations) for t = 1 + W(x), given eq = e (x + 1/e) > 0.
+def _anchored(t0: float, s: float, d: float) -> tuple[float, int]:
+    """(d, iterations) solving h(d) = (t0 + d) expm1(d) - (e^d - 1 - d) = s
+    by Halley's method from d.
 
-    Halley's method on h(t) = t expm1(t) - (e^t - 1 - t) = eq, with
-    h' = t e^t and h'' = (1 + t) e^t, started from the branch-point series
-    W = -1 + p - p^2/3 + 11 p^3/72 with p = +/- sqrt(2 eq); the sign picks
-    the branch.
+    With t0 = 1 + W(z) and s = (x - z) e^-W(z) the root is d = W(x) - W(z),
+    since h(d) = (W(z) + d) e^d - W(z).  With g = t0 + d, h' = g e^d and
+    h'' = (g + 1) e^d; the step divides by g e^d - h (g + 1) / (2 g), which
+    does not form the product of h' and e^d.  It stops once the step is at
+    most 2 eps |t0 - 1 + d|, that is |W(x)|, as every W iteration does, and
+    at most |d|.  The second bound is for a small d far from its start: h
+    rounds at the scale of the d it is formed at, so the step down from a
+    start many times d carries the start's rounding into d (up to 50 eps in
+    the matching loss without it).
     """
-    p = math.sqrt(2.0 * eq)
-    if branch is BranchChoice.LOWER:
-        p = -p
-    t = p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    step = math.inf
     for iterations in range(1, _MAX_ITER + 1):
-        em1 = math.expm1(t)
-        h = t * em1 - _exp_tail(t, em1) - eq
-        d1 = t * (em1 + 1.0)
-        step = h / (d1 - h * (d1 + em1 + 1.0) / (2.0 * d1))
-        t -= step
-        if abs(step) <= _STEP_RTOL * abs(t - 1.0):
+        em1 = math.expm1(d)
+        g = t0 + d
+        h = g * em1 - _exp_tail(d, em1) - s
+        last, step = step, h / ((em1 + 1.0) * g - h * (g + 1.0) / (2.0 * g))
+        d -= step
+        # The rounding of h can keep every step above that stop: near W(x) = 0,
+        # and at some x about the branch point, where the steps would swap two
+        # doubles for all _MAX_ITER steps.  From these starts a step that
+        # fails to halve the last is that noise.
+        if abs(step) <= min(_STEP_RTOL * abs(t0 - 1.0 + d), abs(d)) or abs(step) > abs(last) / 2:
             break
-    return t, iterations
+    return d, iterations
 
 
 def _exp_tail(t: float, em1: float) -> float:

@@ -17,8 +17,9 @@ is formed for |d| <= 1 as
 
 where only the middle term can be negative, for w in (-1, 0), and the last
 term outweighs it.  d starts as the difference of the two values of 1 + W0,
-which W's branch-point iteration gives to full relative accuracy.  When d
-is at most half of both values of 1 + W0, Newton's method refines it on
+which W's anchored iteration gives to full relative accuracy near the
+branch point.  When d is at most half of both values of 1 + W0, the same
+iteration, anchored at (z, w) instead of the branch point, refines it on
 
     (w + d) e^d - w = (z_hat - z) e^-w,
 
@@ -42,7 +43,7 @@ import math
 
 from ._record import Record
 from .errors import DomainError
-from .lambertw import _MAX_ITER, _STEP_RTOL, BRANCH_POINT, BranchChoice, _exp_tail, _solve, eval_w
+from .lambertw import BRANCH_POINT, BranchChoice, _anchored, _exp_tail, _solve, eval_w
 from .lambertw import w_derivative  # unused; reachbench/layers.py wraps it here
 
 __all__ = [
@@ -121,15 +122,7 @@ def matching_loss(z_hat: float, z: float) -> LossEvaluation:
     if abs(d) > 1.0:
         return LossEvaluation(z_hat, z, f_hat, f_z, f_hat - f_z + f_z * shift / one_plus_w)
     if abs(d) <= min(one_plus_w, one_plus_w_hat) / 2:
-        step = math.inf
-        for _ in range(_MAX_ITER):
-            em1 = math.expm1(d)
-            residual = (one_plus_w + d) * em1 - _exp_tail(d, em1) - shift
-            last, step = step, residual / ((one_plus_w + d) * (em1 + 1.0))
-            d -= step
-            # From this start a step that fails to halve the last is rounding noise.
-            if abs(step) <= _STEP_RTOL * abs(d) or abs(step) > abs(last) / 2:
-                break
+        d, _ = _anchored(one_plus_w, shift, d)
     em1 = math.expm1(d)
     bracket = one_plus_w * _exp_tail(-d, math.expm1(-d)) + w * _exp_tail(d, em1) + d * em1
     return LossEvaluation(z_hat, z, f_hat, f_z, f_z / one_plus_w * bracket)

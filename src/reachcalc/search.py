@@ -126,7 +126,6 @@ class _Session:
         A class whose programs run past the step cap raises ResourceExceeded.
         """
         n_opcodes = size // 2
-        _core_py.check_step_cap(n_opcodes)
         left = self.budget.programs - self.programs_run
         end = _core_py.class_size(n_opcodes, left + 1)  # end > left: the class outlasts the budget
         count = min(end, left)

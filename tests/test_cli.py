@@ -21,7 +21,7 @@ import pytest
 import reachcalc
 from reachcalc import cli
 from reachcalc.formats import parse_records
-from reachcalc.machine import CORE_BACKEND, kolmogorov_upper
+from reachcalc.machine import CORE_BACKEND, enumerate_solutions
 from reachcalc.reachability import reach_from_variation
 
 
@@ -176,15 +176,17 @@ def test_solve_table_header(capsys):
 
 
 def test_solve_header_matches_kolmogorov_upper(capsys):
-    # "00" has two shortest solutions; the witness is the lexicographic first.
+    # The header comes from kolmogorov_upper; it must name the first of the
+    # enumerated solutions, which come in (length, lex) order.  "00" has two
+    # shortest solutions; the witness is the lexicographic first.
     for rho, max_len in (("", 6), ("0", 6), ("00", 8), ("0101", 12), ("01010101", 8)):
         assert run_cli("solve", rho, "--max-len", str(max_len)) == 0
         header = dict(
             line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:5]
         )
-        bound = kolmogorov_upper(rho, max_len)
-        assert header["k_upper"] == (str(bound.bits) if bound else "none")
-        assert header["witness"] == (bound.witness.bits if bound else "none")
+        programs = enumerate_solutions(rho, max_len).programs
+        assert header["k_upper"] == (str(programs[0].length) if programs else "none")
+        assert header["witness"] == (programs[0].bits if programs else "none")
 
 
 def test_solve_records(capsys):

@@ -19,7 +19,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reachcalc"
 
 #: (module, name) pairs kept only so that the tracer can wrap them.
 TRACER_NAMES = {
-    ("cli", "kolmogorov_upper"),  # reachbench/layers.py wraps cli.kolmogorov_upper
     ("machine", "entropy_variation"),  # reachbench/layers.py wraps machine.entropy_variation
     ("loss", "w_derivative"),  # reachbench/layers.py wraps loss.w_derivative
     ("search", "reach_from_variation"),  # reachbench/layers.py wraps search.reach_from_variation

@@ -138,6 +138,18 @@ def test_iterations_capped_and_reported():
     assert 1 <= ev.iterations <= 64
 
 
+def test_the_iteration_about_the_branch_point_stops_on_its_rounding_noise():
+    """Below x = -0.25 the last steps are rounding noise of about an ulp; the
+    iteration stops on the first that fails to halve.  The two fixed x's
+    cycled through all 64 steps when the step size alone stopped it."""
+    rng = random.Random(24)
+    xs = [-0.2701431302126024, -0.2663470141769425]
+    xs += [rng.uniform(BRANCH_POINT, -0.25) for _ in range(5000)]
+    for x in xs:
+        for branch in (PRINCIPAL, LOWER):
+            assert eval_w(x, branch).iterations <= 4, (x, branch)
+
+
 # ------------------------------------------------------ ulps against mpmath
 
 ULP_BUDGET = 4

@@ -179,13 +179,26 @@ def test_matching_loss_of_close_pairs_against_mpmath(z_hat, z):
     assert abs(matching_loss(z_hat, z).divergence - exact) <= PAIR_BUDGET * abs(exact)
 
 
+@pytest.mark.parametrize("z_hat, z", [(4.193032561996424e+90, 4.193032561996429e+90),
+                                      (8.412816108645486e+117, 8.412816108645471e+117),
+                                      (1.8214734967912241e+84, 1.8214734967912209e+84)])
+def test_matching_loss_of_huge_close_pairs_against_mpmath(z_hat, z):
+    """W0 near 200, so the start of d = W0(z_hat) - W0(z) is off by about
+    40 times d itself.  A refinement stopped on 2 eps |W0(z_hat)| alone takes
+    one step from there and keeps that start's rounding: 20 to 50 eps."""
+    mpmath = pytest.importorskip("mpmath")
+    exact = _divergence_reference(mpmath, z_hat, z)
+    assert abs(matching_loss(z_hat, z).divergence - exact) <= PAIR_BUDGET * abs(exact)
+
+
 def _seeded_pairs(rng, count):
     """(z_hat, z) pairs from four regions: tiny |z|, next to the branch
     point, moderate and huge.  Four pairs in five put z_hat within a
     relative 1e-15 to 0.2 of z; the rest draw it from the regions too.  The
     fixed pairs come first: one where the tangent start of Newton's method
-    in log form leaves its domain, two next to the branch point, and two
-    where exp(-2 W0(z)) underflows."""
+    in log form, which an earlier version of the loss used, left its
+    domain, two next to the branch point, and two where exp(-2 W0(z))
+    underflows."""
     pairs = [(-0.28, -0.36), (BRANCH_POINT + 2 * math.ulp(BRANCH_POINT), BRANCH_POINT + 1e-15),
              (-0.36787944117138244, 5.321533242412376e-08),
              (1.5962358939667264e+247, 1.1157866020945327e+169),
