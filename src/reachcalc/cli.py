@@ -6,9 +6,12 @@ identical invocations.  Exit codes: 0 success, 1 domain error, 2 resource
 or budget error, 3 usage error.  Each warning a command raises is written
 to stderr as one ``warning: <message>`` line.
 
-Every command prints through ``_write``.  A table shows ``name: value``
-lines, then rows as aligned columns (``report`` puts a title line first).
-Records and csv show the rows, or a scalar result as one row.  ``search
+Every command prints through ``_write``, except the rows of ``solve`` and
+``report``, which ``_write_classes`` writes in the same shapes: rows of one
+class share every column but ``program``, so each class's columns are
+formatted once.  A table shows ``name: value`` lines, then rows as aligned
+columns (``report`` puts a title line first).  Records and csv show the
+rows, or a scalar result as one row.  ``search
 --format table`` prints only the summary; a ``solve`` with no solution
 prints its header in a table and nothing in records or csv.  An argument
 the command would ignore is a usage error, like a target given both inline
@@ -53,10 +56,12 @@ from .machine import (
     CORE_BACKEND,
     DEFAULT_MAX_LEN,
     Scheme,
+    _class_weights,
+    _report_classes,
     enumerate_solutions,
     kolmogorov_upper,
-    reachability_report,
 )
+from .machine import reachability_report  # unused; reachbench/layers.py wraps it here
 from .reachability import reach_curve, reach_from_energy, reach_from_variation
 from .search import Budget, SearchPolicy, _as_policy, demiurge_search
 
@@ -91,6 +96,37 @@ def _write(fmt: str, fields=(), keys: tuple[str, ...] = (), rows=None) -> None:
         rows, keys = [dict(fields)], tuple(k for k, _ in fields)
     if rows:
         sys.stdout.write((records_text if fmt == "records" else csv_text)(rows, keys))
+
+
+def _write_classes(fmt: str, keys: tuple[str, ...], classes) -> None:
+    """Print rows as _write prints them, given by class: each class is
+    (programs, row), and its row holds every column after the first,
+    "program", for all of its programs.  So a class's columns are formatted
+    once, and each line is a program plus that class's suffix.  An empty
+    class list prints nothing."""
+    if not classes:
+        return
+    cells = [(programs, [format_value(row[k]) for k in keys[1:]]) for programs, row in classes]
+    head, lead = "", ""
+    if fmt == "table":
+        widths = [max(len(k), *(len(c[i]) for _, c in cells)) for i, k in enumerate(keys[1:])]
+        width = max(len(keys[0]), *(len(programs[0]) for programs, _ in cells))
+        head = "  ".join(k.ljust(w) for k, w in zip(keys, (width, *widths))).rstrip() + "\n"
+        # Cells are never empty and hold no space, so rstrip drops only the
+        # last column's padding.
+        tails = [" " * (width - len(programs[0])) + "  "
+                 + "  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip()
+                 for programs, c in cells]
+    elif fmt == "records":
+        lead = f"{keys[0]}="
+        tails = ["".join(f" {k}={v}" for k, v in zip(keys[1:], c)) for _, c in cells]
+    else:  # csv; no cell holds a comma, quote or newline, so none is quoted
+        head = ",".join(keys) + "\n"
+        tails = ["," + ",".join(c) for _, c in cells]
+    sys.stdout.write(head + "".join(
+        lead + f"{tail}\n{lead}".join(programs) + tail + "\n"
+        for (programs, _), tail in zip(cells, tails)
+    ))
 
 
 def _given_or_default(args, name: str):
@@ -197,36 +233,20 @@ def _cmd_solve(args) -> int:
         ("k_upper", bound.bits if bound else "none"),
         ("witness", bound.witness.bits if bound else "none"),
     ]
-    rows = [
-        {"program": prog.bits, "length": prog.length, "p": solutions.weights[i]}
-        for i, prog in enumerate(solutions.programs)
-    ]
-    _write(args.format, header, SOLUTION_KEYS, rows)
+    _write(args.format, header, rows=[])  # only a table shows the header
+    _write_classes(args.format, SOLUTION_KEYS, [
+        (hits, {"length": 2 * n, "p": p})
+        for (n, hits), p in zip(solutions.classes,
+                                _class_weights(solutions.classes, solutions.scheme))
+    ])
     return 0
 
 
 def _cmd_report(args) -> int:
     target = _target_from(args)
     temp = _given_or_default(args, "temp")
-    records = reachability_report(
-        target,
-        _given_or_default(args, "max_len"),
-        scheme=Scheme(args.scheme),
-        temperature=temp,
-        branch=BranchChoice(args.branch),
-    )
-    rows = [
-        {
-            "program": r.program_id,
-            "length": r.length,
-            "p": r.p_i,
-            "variation": r.variation,
-            "reachability": r.reachability,
-            "energy": r.energy,
-            "normalized": r.normalized,
-        }
-        for r in records
-    ]
+    classes = _report_classes(target, _given_or_default(args, "max_len"), Scheme(args.scheme),
+                              temp, BranchChoice(args.branch))
     keys = REPORT_KEYS
     if args.format == "table":
         sys.stdout.write(
@@ -234,7 +254,11 @@ def _cmd_report(args) -> int:
             f"T: {format_value(temp)} K\n"
         )
         keys += ("normalized",)
-    _write(args.format, keys=keys, rows=rows)
+    _write_classes(args.format, keys, [
+        (hits, {"length": len(hits[0]), "p": p, "variation": h, "reachability": reach,
+                "energy": energy, "normalized": normalized})
+        for hits, p, h, reach, energy, normalized in classes
+    ])
     return 0
 
 

@@ -38,11 +38,12 @@ import math
 import warnings
 from collections.abc import Iterator
 from enum import Enum
+from itertools import chain, repeat
 
 from . import _core_py
 from ._core_py import DEFAULT_MAX_STEPS, DOUBLE, HALT, iter_valid_programs
 from ._record import Record
-from .entropy import FiniteDistribution, entropy_to_work
+from .entropy import FiniteDistribution, _landauer_unit, entropy_to_work
 from .entropy import entropy_variation  # unused; reachbench/layers.py wraps it here
 from .errors import (
     DegenerateSetWarning,
@@ -144,21 +145,32 @@ class Problem(Record):
 
 
 class SolutionSet(Record):
-    """Every solution of a problem up to the length cap, with weights.
+    """Every solution of a problem up to the length cap, by length class.
 
-    Programs are ordered by (length, lexicographic); weights is None only
-    for an empty set.
+    classes holds one (n_opcodes, bits) pair per non-empty class, shortest
+    first, and bits holds that class's programs in lexicographic order.
+    Under either scheme every program of a class has one weight, so the
+    set keeps one weight per class; programs and weights (None only for an
+    empty set) list them per program, in (length, lexicographic) order.
     """
 
-    def __init__(self, problem: Problem, programs: tuple[Program, ...],
-                 weights: FiniteDistribution | None, scheme: Scheme):
-        self.__dict__.update(problem=problem, programs=programs, weights=weights, scheme=scheme)
+    def __init__(self, problem: Problem, classes: tuple[tuple[int, tuple[str, ...]], ...],
+                 scheme: Scheme):
+        self.__dict__.update(problem=problem, classes=classes, scheme=scheme)
+
+    @property
+    def programs(self) -> tuple[Program, ...]:
+        return tuple(Program(bits) for _, hits in self.classes for bits in hits)
+
+    @property
+    def weights(self) -> FiniteDistribution | None:
+        return _distribution_for(self.classes, self.scheme) if self.classes else None
 
     def __len__(self) -> int:
-        return len(self.programs)
+        return sum(len(hits) for _, hits in self.classes)
 
     def lengths(self) -> tuple[int, ...]:
-        return tuple(p.length for p in self.programs)
+        return tuple(2 * n for n, hits in self.classes for _ in hits)
 
 
 class ComplexityBound(Record):
@@ -231,15 +243,17 @@ def enumerate_solutions(
 ) -> SolutionSet:
     """Every valid program of length <= max_len whose output equals rho.
 
-    Ordered by (length, lexicographic) and run at the target's width; a
-    program that would breach a cap is not a solution.  Raises
-    ResourceExceeded when 2^max_len exceeds DEFAULT_ENUM_BUDGET.
+    The set holds them by length class, ordered by (length, lexicographic),
+    as the kernel finds them: they are valid by construction, so none is
+    checked again.  Programs run at the target's width; a program that would
+    breach a cap is not a solution.  Raises ResourceExceeded when 2^max_len
+    exceeds DEFAULT_ENUM_BUDGET.
     """
     _check_scheme(scheme)
     problem = _as_problem(rho)
-    programs = tuple(Program(bits) for hits in _class_hits(problem, max_len) for bits in hits)
-    weights = _distribution_for(programs, scheme) if programs else None
-    return SolutionSet(problem, programs, weights, scheme)
+    classes = tuple((n, tuple(hits))
+                    for n, hits in enumerate(_class_hits(problem, max_len), start=1) if hits)
+    return SolutionSet(problem, classes, scheme)
 
 
 def kolmogorov_upper(rho: Problem | str, max_len: int = DEFAULT_MAX_LEN) -> ComplexityBound | None:
@@ -265,21 +279,70 @@ def _check_scheme(scheme: Scheme) -> None:
         raise DomainError(f"unknown scheme {scheme!r}")
 
 
-def _distribution_for(programs: tuple[Program, ...], scheme: Scheme) -> FiniteDistribution:
-    m = len(programs)
+def _class_weights(classes, scheme: Scheme) -> list[float]:
+    """One weight per class: 1/m, or 2^-length over the exact sum of c 2^-length
+    (each term is exact), the same floats as weighting each program."""
     if scheme is Scheme.UNIFORM:
-        return FiniteDistribution([1.0 / m] * m)
-    raw = [2.0 ** -p.length for p in programs]  # Scheme.LENGTH_WEIGHTED
-    total = math.fsum(raw)
-    return FiniteDistribution([r / total for r in raw])
+        m = sum(len(hits) for _, hits in classes)
+        return [1.0 / m for _ in classes]
+    raw = [2.0 ** (-2 * n) for n, _ in classes]  # Scheme.LENGTH_WEIGHTED
+    total = math.fsum(len(hits) * r for (_, hits), r in zip(classes, raw))
+    return [r / total for r in raw]
+
+
+def _distribution_for(classes, scheme: Scheme) -> FiniteDistribution:
+    weights = _class_weights(classes, scheme)
+    return FiniteDistribution([w for (_, hits), w in zip(classes, weights) for _ in hits])
 
 
 def solution_distribution(solutions: SolutionSet, scheme: Scheme) -> FiniteDistribution:
     """Weights over a solution set: uniform, or proportional to 2^-length."""
     _check_scheme(scheme)
-    if not solutions.programs:
+    if not solutions.classes:
         raise EmptySetError("cannot weight an empty solution set")
-    return _distribution_for(solutions.programs, scheme)
+    return _distribution_for(solutions.classes, scheme)
+
+
+def _report_classes(rho: Problem | str, max_len: int, scheme: Scheme, temperature: float,
+                    branch: BranchChoice) -> list[tuple]:
+    """reachability_report's values, one row per length class: (programs, p,
+    variation, reachability, energy, normalized), in the records' order.
+
+    temperature and branch are checked before anything is enumerated.
+    Under both schemes a class's programs share p, so each distinct p gets
+    one (variation, reachability, energy): at most max_len / 2 inversions
+    of W.  The closed-form variation -p log2 p is 0 only for a one-program
+    set, whose branch-limit reachability is warned about once.  Records of
+    one class share their reachability, so a stable sort of the classes by
+    descending reachability gives the stable sort of the records.
+    """
+    problem = _as_problem(rho)
+    _landauer_unit(temperature)  # validates temperature
+    if not isinstance(branch, BranchChoice):
+        raise DomainError(f"branch must be a BranchChoice, got {branch!r}")
+    classes = enumerate_solutions(problem, max_len, scheme=scheme).classes
+    if not classes:
+        raise EmptySetError(f"no solutions of length <= {max_len} for target {problem.target!r}")
+    per_weight: dict[float, tuple[float, float, float]] = {}
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSetWarning)
+        for (_, hits), p in zip(classes, _class_weights(classes, scheme)):
+            if p not in per_weight:
+                h = -p * math.log2(p) + 0.0
+                per_weight[p] = (h, reach_from_variation(h, branch),
+                                 entropy_to_work(h, temperature))
+            rows.append((hits, p, *per_weight[p]))
+    # The sum over programs, not over classes: fsum(c * P) would round c * P.
+    total = math.fsum(chain.from_iterable(repeat(row[3], len(row[0])) for row in rows))
+    if rows[0][2] == 0.0:  # a one-program set
+        warnings.warn(
+            "deterministic solution set: reachability reported as the branch limit",
+            DegenerateSetWarning,
+            stacklevel=3,
+        )
+    rows.sort(key=lambda row: -row[3])
+    return [(*row, row[3] / total if total > 0.0 else 1.0) for row in rows]
 
 
 def reachability_report(
@@ -293,50 +356,20 @@ def reachability_report(
     """Per-solution reachability records for rho, sorted by descending P.
 
     The solutions are enumerate_solutions(rho, max_len, scheme=scheme), run
-    at the target's width under the gate DEFAULT_ENUM_BUDGET.  Each record
-    carries the scheme weight p_i, the entropy variation it induces, the
-    branch reachability, the Landauer energy k T ln2 * h, and the
-    normalized measure P_i / sum(P).  A single-program set has zero
+    at the target's width under the gate DEFAULT_ENUM_BUDGET; temperature
+    and branch are checked first.  Each record carries the scheme weight
+    p_i, the entropy variation it induces, the branch reachability, the
+    Landauer energy k T ln2 * h, and the normalized measure P_i / sum(P).
+    The programs of one length class share every value but program_id,
+    which are computed once per class.  A single-program set has zero
     variation; its reachability is the branch limit (with a warning) and
     its normalized measure is 1 by convention (the only event).
     """
-    solutions = enumerate_solutions(rho, max_len, scheme=scheme)
-    if not solutions.programs:
-        raise EmptySetError(
-            f"no solutions of length <= {max_len} for target {solutions.problem.target!r}"
-        )
-    ps = solutions.weights.probabilities
-    # Under both schemes the solutions of one length share p_i, so each
-    # distinct weight gets one (variation, reachability, energy): at most
-    # max_len / 2 inversions of W.  The closed-form variation -p log2 p is 0
-    # only for a one-program set, whose branch-limit reachability is warned
-    # about once below.
-    per_weight: dict[float, tuple[float, float, float]] = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSetWarning)
-        for p in dict.fromkeys(ps):
-            h = -p * math.log2(p) + 0.0
-            per_weight[p] = (h, reach_from_variation(h, branch), entropy_to_work(h, temperature))
-    total = math.fsum(per_weight[p][1] for p in ps)
-    records = []
-    for prog, p in zip(solutions.programs, ps):
-        h, reach, energy = per_weight[p]
-        records.append(ReachabilityRecord(
-            program_id=prog.bits,
-            p_i=p,
-            variation=h,
-            reachability=reach,
-            branch=branch,
-            energy=energy,
-            temperature=temperature,
-            normalized=(reach / total) if total > 0.0 else 1.0,
-            degenerate=h == 0.0,
-        ))
-    if any(r.degenerate for r in records):
-        warnings.warn(
-            "deterministic solution set: reachability reported as the branch limit",
-            DegenerateSetWarning,
-            stacklevel=2,
-        )
-    records.sort(key=lambda r: -r.reachability)
-    return records
+    return [
+        ReachabilityRecord(program_id=bits, p_i=p, variation=h, reachability=reach,
+                           branch=branch, energy=energy, temperature=temperature,
+                           normalized=normalized, degenerate=h == 0.0)
+        for hits, p, h, reach, energy, normalized
+        in _report_classes(rho, max_len, scheme, temperature, branch)
+        for bits in hits
+    ]

@@ -317,6 +317,38 @@ def test_report_empty_set(capsys):
     assert "EmptySetError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["report", "0101", "--max-len", "4", "--temp", "-1"],
+                                  ["report", "0", "--max-len", "26", "--temp", "-1"]],
+                         ids=["empty-set", "over-budget"])
+def test_report_rejects_a_bad_temperature_before_enumerating(argv, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "DomainError: temperature must be finite and > 0 K, got -1.0\n"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["solve", "0", "--max-len", "24", "--format", "records"], 11),
+    (["report", "0", "--max-len", "24", "--format", "records"], 11),
+], ids=["solve", "report"])
+def test_solutions_are_not_validated_one_by_one(argv, rows, capsys, monkeypatch):
+    """The kernel's hits are valid by construction: only solve's witness,
+    one program, goes through the validator."""
+    from reachcalc import machine
+
+    calls = []
+    validate = machine._validate_program_bits
+
+    def spy(bits):
+        calls.append(bits)
+        validate(bits)
+
+    monkeypatch.setattr(machine, "_validate_program_bits", spy)
+    assert run_cli(*argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows
+    assert len(calls) <= 1, calls
+
+
 def test_report_inverts_w_once_per_distinct_weight(capsys, monkeypatch):
     # All solutions of one length share their weight under both schemes, so
     # a report up to 16 bits inverts the variation at most 16 / 2 times:

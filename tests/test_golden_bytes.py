@@ -8,8 +8,12 @@ recorded again when `search --max-len` became a usage error for the
 exhaustive-by-size and size-descending policies, which had ignored it.  Those
 calls then dropped the option, and the tree before that change gives the same
 digest for the new set.
-`report`, `lambertw`, `reach` and `loss` are left out: they print values
-of W, whose last digits are meant to change as W gets more accurate.
+`report` prints values of W, which test_lambertw.py holds within 4 ulps of
+the exact value, so its bytes are pinned too, by REPORT_DIGEST, first
+recorded on the tree before `solve` and `report` built their rows once per
+length class.
+`lambertw`, `reach` and `loss` are left out; test_output_layout.py pins
+their layout.
 """
 
 import hashlib
@@ -20,11 +24,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from reachcalc import cli
 
 DIGEST = "39bb64e4070eb87948683767540c0de5ef6b5a3f7f63caf882dd409cf9488e20"
+REPORT_DIGEST = "38f602af3ea1d1b67f698e7d5f4a9837ffc29ea2e10f279e87122cd29b678258"
 
 TARGETS = ("", "0", "1", "01", "0000", "0101", "0110", "10110", "00000000",
            "0" * 16, "0110100110010110")
 FORMATS = ("table", "records", "csv")
 POLICIES = ("exhaustive-by-size", "size-descending", "reachability-greedy")
+REPORT_TARGETS = ("", "0", "01", "0000", "0110", "10110")
+SCHEMES = ("lengthweighted", "uniform")
+BRANCHES = ("lower", "principal")
 
 
 def invocations() -> list[list[str]]:
@@ -54,6 +62,25 @@ def invocations() -> list[list[str]]:
     return calls
 
 
+def report_invocations() -> list[list[str]]:
+    calls = []
+    for i, target in enumerate(REPORT_TARGETS):
+        for max_len in range(0, 26, 2):
+            for j, (scheme, branch) in enumerate((s, b) for s in SCHEMES for b in BRANCHES):
+                temp = ["--temp", "77.5"] if (i + j) % 2 else []
+                calls.append(["report", target, "--max-len", str(max_len), "--scheme", scheme,
+                              "--branch", branch, "--format", FORMATS[(i + j + max_len // 2) % 3],
+                              *temp])
+    for fmt in FORMATS:
+        calls += [
+            ["report", "0", "--max-len", "4", "--format", fmt],  # one program: a warning
+            ["report", "0", "--max-len", "4", "--branch", "principal", "--format", fmt],
+            ["report", "01010101", "--max-len", "8", "--format", fmt],  # no solution
+            ["report", "0", "--max-len", "26", "--format", fmt],  # over the budget
+        ]
+    return calls
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -80,3 +107,18 @@ def test_invocation_set_covers_the_contract():
 
 def test_solve_and_search_bytes_match_the_recorded_digest():
     assert digest(invocations()) == DIGEST
+
+
+def test_report_invocation_set_covers_the_contract():
+    calls = report_invocations()
+    assert len(calls) >= 300
+    flags = {(flag, a[a.index(flag) + 1]) for a in calls
+             for flag in ("--format", "--scheme", "--branch", "--max-len") if flag in a}
+    assert {("--format", f) for f in FORMATS} <= flags
+    assert {("--scheme", s) for s in SCHEMES} | {("--branch", b) for b in BRANCHES} <= flags
+    assert {("--max-len", str(n)) for n in range(0, 28, 2)} <= flags
+    assert sum("--temp" in a for a in calls) and sum("--temp" not in a for a in calls)
+
+
+def test_report_bytes_match_the_recorded_digest():
+    assert digest(report_invocations()) == REPORT_DIGEST

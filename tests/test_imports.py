@@ -22,6 +22,7 @@ TRACER_NAMES = {
     ("machine", "entropy_variation"),  # reachbench/layers.py wraps machine.entropy_variation
     ("loss", "w_derivative"),  # reachbench/layers.py wraps loss.w_derivative
     ("search", "reach_from_variation"),  # reachbench/layers.py wraps search.reach_from_variation
+    ("cli", "reachability_report"),  # reachbench/layers.py wraps cli.reachability_report
 }
 
 

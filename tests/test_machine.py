@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachcalc import _core_py, cli
-from reachcalc.entropy import entropy_to_work
+from reachcalc.entropy import FiniteDistribution, entropy_to_work
 from reachcalc.errors import (
     DegenerateSetWarning,
     DomainError,
@@ -366,6 +366,30 @@ def test_enumerate_matches_the_oracle_through_the_derived_classes(monkeypatch):
         assert got == table.get(target, []), target
 
 
+def test_the_solution_set_by_class_matches_the_per_program_construction(monkeypatch):
+    """programs, weights, len and lengths() of the set kept by class equal a
+    Program per oracle hit, weighted one by one from 2^-length, exactly, for
+    every target of <= 6 bits, every cap up to 16 bits and both schemes."""
+    monkeypatch.setattr(_core_py, "scan_length_class", _shared_scan)
+    table = _oracle_table()
+    for target in _targets(6):
+        for max_len in range(0, 18, 2):
+            programs = tuple(Program(bits) for bits in table.get(target, [])
+                             if len(bits) <= max_len)
+            raw = [2.0 ** -p.length for p in programs]
+            total = math.fsum(raw)
+            expected = {
+                Scheme.UNIFORM: [1.0 / len(programs) for _ in programs],
+                Scheme.LENGTH_WEIGHTED: [r / total for r in raw],
+            }
+            for scheme, ps in expected.items():
+                s = enumerate_solutions(target, max_len, scheme=scheme)
+                assert s.programs == programs, (target, max_len)
+                assert s.weights == (FiniteDistribution(ps) if programs else None)
+                assert len(s) == len(programs)
+                assert s.lengths() == tuple(p.length for p in programs)
+
+
 def test_the_prefix_table_matches_the_oracle():
     """The kernel's shortest class and the walk's hits, class by class,
     against the oracle table for every target of <= 8 bits."""
@@ -631,6 +655,30 @@ def test_report_variation_within_ulps_of_minus_p_log_p(rho):
 def test_report_empty_set():
     with pytest.raises(EmptySetError):
         reachability_report("01010101", 8)
+
+
+@pytest.mark.parametrize("rho, max_len", [("0101", 4), ("0", 26), ("0", 6)],
+                         ids=["empty-set", "over-budget", "solvable"])
+def test_report_checks_temperature_and_branch_before_enumerating(rho, max_len):
+    with pytest.raises(DomainError, match=r"^temperature must be finite and > 0 K, got -1.0$"):
+        reachability_report(rho, max_len, temperature=-1.0)
+    with pytest.raises(DomainError, match=r"^branch must be a BranchChoice, got 'lower'$"):
+        reachability_report(rho, max_len, branch="lower")
+
+
+def test_report_normalizes_by_the_sum_over_programs():
+    """normalized is P over the correctly rounded sum of every record's P:
+    a sum over classes of count * P rounds each product, and differs in
+    the last bit for "000000" at 16 bits, length-weighted, principal."""
+    for rho in ("000000", "111111", "0101"):
+        for max_len in (16, 20):
+            for scheme in Scheme:
+                for branch in BranchChoice:
+                    records = reachability_report(rho, max_len, scheme=scheme, branch=branch)
+                    total = math.fsum(r.reachability for r in records)
+                    assert [r.normalized for r in records] == [
+                        r.reachability / total for r in records
+                    ], (rho, max_len, scheme, branch)
 
 
 def test_report_sorted_descending():

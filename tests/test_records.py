@@ -67,8 +67,8 @@ CASES = [
     (Problem, [("target", REQUIRED), ("max_bits", 64)], ("0101", 8)),
     (
         SolutionSet,
-        [("problem", REQUIRED), ("programs", REQUIRED), ("weights", REQUIRED), ("scheme", REQUIRED)],
-        (Problem("0"), (Program("0011"),), FiniteDistribution([1.0]), Scheme.UNIFORM),
+        [("problem", REQUIRED), ("classes", REQUIRED), ("scheme", REQUIRED)],
+        (Problem("0"), ((2, ("0011",)),), Scheme.UNIFORM),
     ),
     (ComplexityBound, [("bits", REQUIRED), ("witness", REQUIRED)], (4, Program("0011"))),
     (Budget, [("programs", 100_000), ("energy", math.inf)], (5, 1.0)),
