@@ -26,7 +26,9 @@ used.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on the
 first call and shared by every later in-process call; ``build_parser`` itself
-returns a fresh parser each time.
+returns a fresh parser each time.  An argv that starts with a command is
+parsed by that command's parser alone, the one the top-level parser would
+hand the rest of argv to; any other argv goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .machine import (
     _class_weights,
     _report_classes,
     enumerate_solutions,
-    kolmogorov_upper,
 )
+from .machine import kolmogorov_upper  # unused; reachbench/layers.py wraps it here
 from .machine import reachability_report  # unused; reachbench/layers.py wraps it here
 from .reachability import reach_curve, reach_from_energy, reach_from_variation
 from .search import Budget, SearchPolicy, _as_policy, demiurge_search
@@ -225,13 +227,15 @@ def _cmd_solve(args) -> int:
     target = _target_from(args)
     max_len = _given_or_default(args, "max_len")
     solutions = enumerate_solutions(target, max_len, scheme=Scheme(args.scheme))
-    bound = kolmogorov_upper(target, max_len)
+    # The set is empty exactly when K(rho) > max_len, and otherwise its first
+    # class is the shortest one, whose first program is K's witness.
+    shortest = solutions.classes[0] if solutions.classes else None
     header = [
         ("target", target),
         ("max_len", max_len),
         ("solutions", len(solutions)),
-        ("k_upper", bound.bits if bound else "none"),
-        ("witness", bound.witness.bits if bound else "none"),
+        ("k_upper", 2 * shortest[0] if shortest else "none"),
+        ("witness", shortest[1][0] if shortest else "none"),
     ]
     _write(args.format, header, rows=[])  # only a table shows the header
     _write_classes(args.format, SOLUTION_KEYS, [
@@ -341,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"reachcalc {__version__} (core: {CORE_BACKEND})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser._commands = sub.choices  # name -> command parser, read by main
 
     def common(p, *, branch=True, temp=False, scheme=False, max_len=False):
         p.add_argument(
@@ -432,10 +437,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI invocation and return its exit code.
 
-    In-process callers share one parser, built on the first call.
+    In-process callers share one parser, built on the first call; an argv
+    that starts with a command is parsed by that command's parser alone.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        command = parser._commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -23,6 +23,7 @@ TRACER_NAMES = {
     ("loss", "w_derivative"),  # reachbench/layers.py wraps loss.w_derivative
     ("search", "reach_from_variation"),  # reachbench/layers.py wraps search.reach_from_variation
     ("cli", "reachability_report"),  # reachbench/layers.py wraps cli.reachability_report
+    ("cli", "kolmogorov_upper"),  # reachbench/layers.py wraps cli.kolmogorov_upper
 }
 
 

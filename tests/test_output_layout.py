@@ -1,10 +1,11 @@
 """The layout of `lambertw`, `reach`, `loss` and `report`, pinned without their
 float digits.
 
-test_golden_bytes.py pins whole bytes of `solve` and `search`, but leaves
-these four out: they print values of W, whose last digits are meant to
-change as W gets more accurate.  Here every output is reduced to a skeleton
-that keeps its shape and drops those digits, and one sha256 per command
+test_golden_bytes.py pins whole bytes of `solve` and `search`, and of
+`report` by REPORT_DIGEST, but leaves the other three out: they print values
+of W, whose last digits are meant to change as W gets more accurate.
+`report`'s layout is pinned here as well.  Every output is reduced to a
+skeleton that keeps its shape and drops those digits, and one sha256 per command
 covers the skeletons of a fixed invocation set:
 
 * records and csv are parsed back: the keys of every row, their order, the
