@@ -13,16 +13,13 @@ from .entropy import (
     VARIATION_MAX,
     EntropyVariation,
     FiniteDistribution,
-    ThermoEntropy,
     algorithmic_entropy,
     entropy_to_work,
     entropy_variation,
-    microstate_entropy,
     shannon_entropy,
     work_to_entropy,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateSetWarning,
     DomainError,
     EmptySetError,
@@ -37,7 +34,6 @@ from .lambertw import (
     BranchChoice,
     WEvaluation,
     eval_w,
-    solve_xlog,
     w_derivative,
 )
 from .loss import (
@@ -45,7 +41,6 @@ from .loss import (
     LossEvaluation,
     convexity_certificate,
     f_exp_negw,
-    f_inverse,
     f_prime,
     matching_loss,
 )
@@ -61,12 +56,9 @@ from .machine import (
     literal_program,
     reachability_report,
     run,
-    solution_distribution,
 )
 from .reachability import (
     ReachabilityRecord,
-    kol_posterior_identity,
-    normalize,
     reach_from_energy,
     reach_from_variation,
 )
@@ -81,29 +73,23 @@ __all__ = [
     "BranchChoice",
     "WEvaluation",
     "eval_w",
-    "solve_xlog",
     "w_derivative",
     "FiniteDistribution",
     "EntropyVariation",
-    "ThermoEntropy",
     "shannon_entropy",
     "entropy_variation",
-    "microstate_entropy",
     "algorithmic_entropy",
     "entropy_to_work",
     "work_to_entropy",
     "ReachabilityRecord",
     "reach_from_variation",
     "reach_from_energy",
-    "normalize",
-    "kol_posterior_identity",
     "LossEvaluation",
     "ConvexityCertificate",
     "f_exp_negw",
     "f_prime",
     "matching_loss",
     "convexity_certificate",
-    "f_inverse",
     "Problem",
     "Program",
     "SolutionSet",
@@ -113,7 +99,6 @@ __all__ = [
     "literal_program",
     "enumerate_solutions",
     "kolmogorov_upper",
-    "solution_distribution",
     "reachability_report",
     "SearchPolicy",
     "Budget",
@@ -121,7 +106,6 @@ __all__ = [
     "demiurge_search",
     "ReachcalcError",
     "DomainError",
-    "ConvergenceError",
     "InvalidDistribution",
     "InvalidProgram",
     "ResourceExceeded",

@@ -2,9 +2,10 @@
 
 The entropy variation of element i is what the total Shannon entropy loses
 when i is removed from the sum (no renormalization of the remaining
-probabilities): H - H' = -p(i) log2 p(i).  Multiplying bits by k*ln2 (and a
-temperature, for work) carries Shannon entropy into Boltzmann entropy and
-Landauer work, with k = 1.38065e-23 J/K.
+probabilities): H - H' = -p(i) log2 p(i).  Multiplying bits by k*ln2 gives
+algorithmic entropy in J/K, and by k*T*ln2 Landauer work in joules, with
+k = 1.38065e-23 J/K.  Below about 1.8e-301 K the unit k*T*ln2 underflows to
+0: work is then 0, and dividing work by the unit is a DomainError.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ __all__ = [
     "VARIATION_MAX",
     "FiniteDistribution",
     "EntropyVariation",
-    "ThermoEntropy",
     "shannon_entropy",
     "entropy_variation",
-    "microstate_entropy",
     "algorithmic_entropy",
     "entropy_to_work",
     "work_to_entropy",
@@ -45,7 +44,7 @@ class FiniteDistribution(Record):
     """Probabilities over a finite event set: every p in (0, 1], sum 1.
 
     Zero probabilities are rejected outright (no 0*log 0 convention); an
-    event that cannot occur does not belong in the set.
+    event that cannot occur does not belong in the set.  SolutionSet.weights is one.
     """
 
     def __init__(self, probabilities: Iterable[float]):
@@ -77,7 +76,10 @@ def _as_distribution(dist: DistributionLike) -> FiniteDistribution:
 
 
 class EntropyVariation(Record):
-    """Entropy variation of one element: total H minus the partial sum H'."""
+    """Entropy variation of one element: total H minus the partial sum H'.
+
+    Public as the paper's definition; reachbench/layers.py wraps entropy_variation.
+    """
 
     def __init__(self, index: int, total_entropy: float, partial_entropy: float, variation: float):
         self.__dict__.update(index=index, total_entropy=total_entropy,
@@ -85,7 +87,7 @@ class EntropyVariation(Record):
 
 
 def shannon_entropy(dist: DistributionLike) -> float:
-    """H = -sum p log2 p, in bits."""
+    """H = -sum p log2 p, in bits; public for report's planned problem header line."""
     d = _as_distribution(dist)
     h = -math.fsum(p * math.log2(p) for p in d.probabilities)
     return h + 0.0  # fold -0.0 from the single-certain-event case
@@ -97,7 +99,7 @@ def entropy_variation(dist: DistributionLike, index: int) -> EntropyVariation:
     The partial entropy is the plain sum over the other elements; their
     difference is -p(index) log2 p(index), which peaks at 1/(e ln2) when
     p = 1/e.  The variation is that term itself, not the difference of two
-    rounded sums.
+    rounded sums.  Public as the paper's definition of the variation.
     """
     d = _as_distribution(dist)
     if not isinstance(index, int) or isinstance(index, bool):
@@ -110,36 +112,12 @@ def entropy_variation(dist: DistributionLike, index: int) -> EntropyVariation:
     return EntropyVariation(index, total, partial, terms[index - 1] + 0.0)
 
 
-class ThermoEntropy(Record):
-    """A Shannon entropy alongside its Boltzmann equivalent H * k * ln2."""
-
-    def __init__(self, shannon_bits: float, boltzmann: float,
-                 boltzmann_constant: float = BOLTZMANN_K):
-        self.__dict__.update(shannon_bits=shannon_bits, boltzmann=boltzmann,
-                             boltzmann_constant=boltzmann_constant)
-
-    @classmethod
-    def from_shannon(cls, shannon_bits: float) -> "ThermoEntropy":
-        if not math.isfinite(shannon_bits) or shannon_bits < 0.0:
-            raise DomainError(f"Shannon entropy must be finite and >= 0, got {shannon_bits!r}")
-        return cls(shannon_bits, BOLTZMANN_K * LN2 * shannon_bits)
-
-
-def microstate_entropy(microstate_count: int) -> float:
-    """Boltzmann entropy of d equally likely microstates: k ln(d), in J/K."""
-    nonfinite = isinstance(microstate_count, float) and not math.isfinite(microstate_count)
-    if isinstance(microstate_count, bool) or nonfinite or microstate_count != int(microstate_count):
-        raise DomainError(f"microstate count must be a positive integer, got {microstate_count!r}")
-    if microstate_count < 1:
-        raise DomainError(f"microstate count must be >= 1, got {microstate_count!r}")
-    return BOLTZMANN_K * math.log(microstate_count)
-
-
 def algorithmic_entropy(program_bits: float, conditional_entropy_bits: float) -> float:
     """Algorithmic entropy k ln2 (K + H_x) in J/K.
 
     K is a program-length complexity in bits and H_x the residual entropy of
-    the object given the program; both enter additively.
+    the object given the program; both enter additively.  Public for
+    report's planned problem header line, which no command prints yet.
     """
     for name, v in (("program_bits", program_bits), ("conditional_entropy_bits", conditional_entropy_bits)):
         if not math.isfinite(v) or v < 0.0:
@@ -155,6 +133,14 @@ def _landauer_unit(temperature: float) -> float:
     return BOLTZMANN_K * temperature * LN2
 
 
+def _divide_by_unit(amount: float, unit: float, temperature: float) -> float:
+    """amount / unit, for the Landauer unit k T ln2 at temperature."""
+    if unit == 0.0:
+        raise DomainError(f"k T ln2 underflows to 0 at T = {temperature!r} K, "
+                          "so work cannot be converted to bits")
+    return amount / unit
+
+
 def entropy_to_work(delta_entropy_bits: float, temperature: float) -> float:
     """Landauer work for an entropy change: dW = k T ln2 dH, in joules."""
     if not math.isfinite(delta_entropy_bits):
@@ -163,7 +149,10 @@ def entropy_to_work(delta_entropy_bits: float, temperature: float) -> float:
 
 
 def work_to_entropy(delta_work: float, temperature: float) -> float:
-    """Inverse of entropy_to_work: dH = dW / (k T ln2), in bits."""
+    """Inverse of entropy_to_work: dH = dW / (k T ln2), in bits.
+
+    Raises DomainError where k T ln2 underflows to 0 (T below about 1.8e-301 K).
+    """
     if not math.isfinite(delta_work):
         raise DomainError(f"work must be finite, got {delta_work!r}")
-    return delta_work / _landauer_unit(temperature)
+    return _divide_by_unit(delta_work, _landauer_unit(temperature), temperature)

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by every reachcalc module."""
+"""Exception taxonomy shared by every reachcalc module.
+
+No iteration has an error of its own: each W iteration stops on its step.
+"""
 
 
 class ReachcalcError(Exception):
@@ -7,14 +10,6 @@ class ReachcalcError(Exception):
 
 class DomainError(ReachcalcError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class ConvergenceError(ReachcalcError, ArithmeticError):
-    """An iteration failed to converge within its cap.
-
-    Kept in the API for callers that catch it; eval_w no longer raises it,
-    since each of its iterations stops on its own step.
-    """
 
 
 class InvalidDistribution(ReachcalcError, ValueError):

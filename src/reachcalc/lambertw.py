@@ -24,7 +24,8 @@ it is out of the domain.  Each in-domain x takes one of three iterations:
 
 Every iteration stops once its step is at most 2 eps |w|, never on a
 residual; the anchored one also needs the step below |d|, and stops on a
-step that fails to halve the last.
+step that fails to halve the last.  eval_w returns W with its residual,
+w_derivative W', and w_curve samples W on an even grid.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "BranchChoice",
     "WEvaluation",
     "eval_w",
-    "solve_xlog",
     "w_derivative",
     "w_curve",
 ]
@@ -204,24 +204,6 @@ def _halley(x: float, w: float) -> tuple[float, int]:
     return w, iterations
 
 
-def solve_xlog(a: float, b: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> float:
-    """Solve x * log_a(x) = b for x.
-
-    Rewriting with natural logs gives ln(x) * e^{ln x} = b * ln(a), so
-    x = exp(W(y)) with y = b * ln a.  Since W(y) e^W(y) = y, x is formed as
-    y / W(y) (1 at y = 0), which keeps W's relative accuracy, where exp
-    would multiply W's rounding by |W|.  The branch picks which of the (up
-    to two) real solutions is returned; the lower branch needs y in [-1/e, 0).
-    """
-    if not (a > 1.0) or not math.isfinite(a):
-        raise DomainError(f"log base must be finite and > 1, got {a!r}")
-    if not math.isfinite(b):
-        raise DomainError(f"right-hand side must be finite, got {b!r}")
-    y = b * math.log(a)
-    w = eval_w(y, branch).value
-    return y / w if y else 1.0
-
-
 def w_derivative(x: float, branch: BranchChoice = BranchChoice.PRINCIPAL) -> float:
     """dW/dx, defined strictly inside the branch domain (x != -1/e).
 
@@ -243,7 +225,8 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced points on [lo, hi], endpoints exact; [lo] when n == 1.
 
     With two or more points the step is formed from lo, hi and hi - lo, so
-    all three must be finite.
+    all three must be finite.  A point whose i (hi - lo) overflows is the
+    exact lo + i (hi - lo) / (n - 1), rounded.
     """
     if n < 1:
         raise DomainError(f"need at least one sample point, got n = {n}")
@@ -255,6 +238,11 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
         )
     xs = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
     xs[-1] = hi
+    if not all(map(math.isfinite, xs)):  # i (hi - lo) overflowed: round those points exactly
+        from fractions import Fraction
+
+        step = (Fraction(hi) - Fraction(lo)) / (n - 1)
+        xs = [x if math.isfinite(x) else float(Fraction(lo) + i * step) for i, x in enumerate(xs)]
     return xs
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "f_prime",
     "matching_loss",
     "convexity_certificate",
-    "f_inverse",
 ]
 
 # The certificate's one grid: the interior points of [lo, hi] at step, held to tol.
@@ -146,14 +145,3 @@ def convexity_certificate() -> ConvexityCertificate:
         x += _STEP
         f_x = f_next
     return ConvexityCertificate(worst >= -_TOL, worst, points, _LO, _HI, _STEP)
-
-
-def f_inverse(y: float) -> float:
-    """Invert f in closed form: the z in [-1/e, inf) with exp(-W0(z)) = y.
-
-    f decreases from f(-1/e) = e toward 0, so any y in (0, e] has exactly
-    one preimage, W0(z) = -ln y, hence z = W0 exp(W0) = -ln(y) / y.
-    """
-    if math.isnan(y) or not 0.0 < y <= math.e:
-        raise DomainError(f"f maps [-1/e, inf) onto (0, e], got y = {y!r}")
-    return -math.log(y) / y + 0.0  # fold -0.0 at y = 1

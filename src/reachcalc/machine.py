@@ -73,7 +73,6 @@ __all__ = [
     "iter_valid_programs",
     "enumerate_solutions",
     "kolmogorov_upper",
-    "solution_distribution",
     "reachability_report",
     "literal_program",
 ]
@@ -164,7 +163,10 @@ class SolutionSet(Record):
 
     @property
     def weights(self) -> FiniteDistribution | None:
-        return _distribution_for(self.classes, self.scheme) if self.classes else None
+        if not self.classes:
+            return None
+        weights = _class_weights(self.classes, self.scheme)
+        return FiniteDistribution([w for (_, hits), w in zip(self.classes, weights) for _ in hits])
 
     def __len__(self) -> int:
         return sum(len(hits) for _, hits in self.classes)
@@ -288,19 +290,6 @@ def _class_weights(classes, scheme: Scheme) -> list[float]:
     raw = [2.0 ** (-2 * n) for n, _ in classes]  # Scheme.LENGTH_WEIGHTED
     total = math.fsum(len(hits) * r for (_, hits), r in zip(classes, raw))
     return [r / total for r in raw]
-
-
-def _distribution_for(classes, scheme: Scheme) -> FiniteDistribution:
-    weights = _class_weights(classes, scheme)
-    return FiniteDistribution([w for (_, hits), w in zip(classes, weights) for _ in hits])
-
-
-def solution_distribution(solutions: SolutionSet, scheme: Scheme) -> FiniteDistribution:
-    """Weights over a solution set: uniform, or proportional to 2^-length."""
-    _check_scheme(scheme)
-    if not solutions.classes:
-        raise EmptySetError("cannot weight an empty solution set")
-    return _distribution_for(solutions.classes, scheme)
 
 
 def _report_classes(rho: Problem | str, max_len: int, scheme: Scheme, temperature: float,

@@ -11,18 +11,17 @@ The quotient carries W's relative error into P unamplified, where exp would
 multiply W's error by |W|.  The domain is 0 < h <= 1/(e ln2); both branches
 meet at the right endpoint where P = 1/e.  An energy form divides the
 Landauer work E = k T ln2 h back out by the same unit k T ln2 that
-work_to_entropy uses.
+work_to_entropy uses.  reach_curve samples (h, P) on an even grid.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
 
 from ._record import Record
-from .entropy import LN2, VARIATION_MAX, _landauer_unit
-from .errors import DegenerateSetWarning, DomainError, EmptySetError
+from .entropy import LN2, VARIATION_MAX, _divide_by_unit, _landauer_unit
+from .errors import DegenerateSetWarning, DomainError
 from .lambertw import BranchChoice, _grid, eval_w
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "ReachabilityRecord",
     "reach_from_variation",
     "reach_from_energy",
-    "normalize",
-    "kol_posterior_identity",
     "reach_curve",
 ]
 
@@ -93,51 +90,19 @@ def reach_from_energy(
 
     Dividing by k T ln2 recovers the variation, so the valid window is
     0 < E <= k T / e, and the result equals
-    reach_from_variation(work_to_entropy(E, T)) exactly.
+    reach_from_variation(work_to_entropy(E, T)) exactly.  Raises DomainError
+    where k T ln2 underflows to 0 (T below about 1.8e-301 K).
     """
     unit = _landauer_unit(temperature)  # validates temperature
     if math.isnan(energy) or energy < 0.0:
         raise DomainError(f"energy must be in (0, kT/e], got {energy!r}")
-    variation = energy / unit
+    variation = _divide_by_unit(energy, unit, temperature)
     if variation > VARIATION_MAX + _CLAMP:
         raise DomainError(
             f"energy {energy!r} J above the window bound kT/e = {unit * VARIATION_MAX!r} J "
             f"at T = {temperature!r} K"
         )
     return reach_from_variation(variation, branch)
-
-
-def normalize(records: Iterable[ReachabilityRecord | float]) -> list[float]:
-    """Scale reachabilities to a probability measure P_i / sum(P).
-
-    Accepts ReachabilityRecord objects or bare reachability values, each a
-    probability in (0, 1].  The argmax is unchanged by the positive scaling.
-    """
-    items = list(records)
-    if not items:
-        raise EmptySetError("cannot normalize an empty solution set")
-    values = [it.reachability if isinstance(it, ReachabilityRecord) else float(it) for it in items]
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise DomainError(f"all reachabilities must lie in (0, 1], got {v!r}")
-    total = math.fsum(values)
-    return [v / total for v in values]
-
-
-def kol_posterior_identity(p_solution_given_problem: float, p_problem: float) -> float:
-    """Joint identity P(solution) = P(solution | problem) * P(problem).
-
-    With the Bayesian postulates P(problem) = 1 and
-    P(problem | shortest solution) = 1, the joint collapses to the
-    conditional; this helper just performs the product.
-    """
-    for name, v in (
-        ("p_solution_given_problem", p_solution_given_problem),
-        ("p_problem", p_problem),
-    ):
-        if math.isnan(v) or not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must be a probability in [0, 1], got {v!r}")
-    return p_solution_given_problem * p_problem
 
 
 def reach_curve(

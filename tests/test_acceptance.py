@@ -22,7 +22,7 @@ from reachcalc.machine import (
     kolmogorov_upper,
     reachability_report,
 )
-from reachcalc.reachability import normalize, reach_from_energy, reach_from_variation
+from reachcalc.reachability import reach_from_energy, reach_from_variation
 from reachcalc.search import SearchPolicy, demiurge_search
 from reachcalc import cli
 
@@ -158,7 +158,10 @@ def test_criterion_08_normalization_is_a_measure():
             by_normalized = max(records, key=lambda r: r.normalized)
             assert by_normalized is by_reach
             if not any(r.degenerate for r in records):
-                assert normalize(records) == [r.normalized for r in records]
+                total_p = math.fsum(r.reachability for r in records)
+                assert [r.reachability / total_p for r in records] == [
+                    r.normalized for r in records
+                ]
 
 
 def test_criterion_09_convexity_and_matching_loss():

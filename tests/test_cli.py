@@ -103,6 +103,23 @@ def test_reach_needs_exactly_one_input(capsys):
     assert run_cli("reach", "--variation", "0.25", "--energy", "1e-22") == 3
 
 
+def test_reach_energy_where_the_landauer_unit_underflows(capsys):
+    # k T ln2 is 0 below about 1.8e-301 K: an energy cannot be divided by it,
+    # while a variation times it is an energy of 0.
+    assert run_cli("reach", "--energy", "1e-30", "--temp", "1e-301") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "DomainError: k T ln2 underflows to 0 at T = 1e-301 K, "
+        "so work cannot be converted to bits\n"
+    )
+    assert run_cli("reach", "--variation", "0.1", "--temp", "1e-320") == 0
+    assert capsys.readouterr().out == (
+        "variation: 0.1\nreachability: 0.0170154534187\nbranch: lower\nenergy: 0\n"
+        "temperature: 9.99988867183e-321\n"
+    )
+
+
 def test_reach_domain_error(capsys):
     assert run_cli("reach", "--variation", "0.6") == 1
     assert "DomainError" in capsys.readouterr().err
@@ -154,6 +171,19 @@ def test_curve_point_count_is_bounded(monkeypatch, capsys):
 
 def test_curve_point_limit_is_inclusive():
     assert cli._curve(["0", "1", str(cli._MAX_CURVE_POINTS)]) == (0.0, 1.0, 100_000)
+
+
+def test_curve_whose_span_times_i_overflows_prints_every_point(capsys):
+    # i * (hi - lo) is inf for the last 19 interior points; each is still a finite double.
+    argv = ("lambertw", "--curve", "0", "1e306", "200", "--branch", "principal", "--format", "csv")
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 200
+    xs = [float(x) for x, _ in rows]
+    assert xs == sorted(xs) and xs[-1] == 1e306
+    assert rows[-2] == ["9.94974874372e+305", "698.03772751"]
 
 
 def test_reach_curve_endpoint(capsys):

@@ -1,6 +1,7 @@
 """Tests for Shannon entropy, entropy variation, and the thermodynamic bridges."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -11,11 +12,9 @@ from reachcalc.entropy import (
     LN2,
     VARIATION_MAX,
     FiniteDistribution,
-    ThermoEntropy,
     algorithmic_entropy,
     entropy_to_work,
     entropy_variation,
-    microstate_entropy,
     shannon_entropy,
     work_to_entropy,
 )
@@ -162,33 +161,6 @@ def test_variation_within_ulps_of_minus_p_log_p():
 # ------------------------------------------------------------- thermo bridges
 
 
-def test_thermo_entropy_bridge():
-    t = ThermoEntropy.from_shannon(1.0)
-    assert t.boltzmann == pytest.approx(BOLTZMANN_K * LN2, rel=1e-15)
-    assert t.boltzmann_constant == 1.38065e-23
-    with pytest.raises(DomainError):
-        ThermoEntropy.from_shannon(-0.5)
-    with pytest.raises(DomainError):
-        ThermoEntropy.from_shannon(math.inf)
-
-
-def test_microstate_entropy_pinned():
-    assert microstate_entropy(1) == 0.0
-    assert microstate_entropy(2) == pytest.approx(9.570e-24, rel=1e-4)
-    assert microstate_entropy(2) == pytest.approx(9.569936548400886e-24, rel=1e-15)
-    assert microstate_entropy(1024) == pytest.approx(10 * BOLTZMANN_K * LN2, rel=1e-12)
-
-
-def test_microstate_entropy_rejects_bad_counts():
-    for bad in (0, -1, True, 2.5):
-        with pytest.raises(DomainError):
-            microstate_entropy(bad)
-
-
-def test_microstate_entropy_large_count():
-    assert microstate_entropy(2**40) == pytest.approx(40 * BOLTZMANN_K * LN2, rel=1e-12)
-
-
 def test_algorithmic_entropy():
     assert algorithmic_entropy(0.0, 0.0) == 0.0
     assert algorithmic_entropy(10.0, 0.0) == pytest.approx(10 * BOLTZMANN_K * LN2, rel=1e-15)
@@ -217,6 +189,17 @@ def test_work_entropy_validation():
             fn(1.0, math.inf)
         with pytest.raises(DomainError):
             fn(math.nan, 300.0)
+
+
+@pytest.mark.parametrize("temperature", [1e-301, 1e-320, 5e-324])
+def test_work_to_entropy_rejects_a_landauer_unit_that_underflows(temperature):
+    """Below about 1.8e-301 K, k T ln2 rounds to 0: work is 0, and bits cannot be had back."""
+    assert entropy_to_work(1.0, temperature) == 0.0
+    for work in (0.0, 1.0, -1e-310):
+        with pytest.raises(DomainError, match=re.escape(f"T = {temperature!r} K")):
+            work_to_entropy(work, temperature)
+    # The least temperature whose unit is not 0: the unit is the least subnormal, 5e-324.
+    assert work_to_entropy(5e-324, 1.7892501569595718e-301) == 1.0
 
 
 @given(

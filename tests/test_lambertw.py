@@ -1,7 +1,8 @@
-"""Tests for the real Lambert W branches and the x*log_a(x) = b solver."""
+"""Tests for the real Lambert W branches."""
 
 import math
 import random
+from fractions import Fraction
 import re
 import sys
 
@@ -13,8 +14,8 @@ from reachcalc.errors import DomainError
 from reachcalc.lambertw import (
     BRANCH_POINT,
     BranchChoice,
+    _grid,
     eval_w,
-    solve_xlog,
     w_curve,
     w_derivative,
 )
@@ -232,71 +233,6 @@ def test_lower_monotone_decreasing():
     assert all(a > b for a, b in zip(ws, ws[1:]))
 
 
-# ------------------------------------------------------------------- solve_xlog
-
-
-def test_solve_xlog_hand_roots():
-    # 0.25 * log2(0.25) = -0.5 and 0.5 * log2(0.5) = -0.5
-    assert solve_xlog(2.0, -0.5, LOWER) == pytest.approx(0.25, abs=1e-10)
-    assert solve_xlog(2.0, -0.5, PRINCIPAL) == pytest.approx(0.5, abs=1e-10)
-    assert solve_xlog(2.0, 0.0, PRINCIPAL) == 1.0
-
-
-def test_solve_xlog_default_branch_is_principal():
-    assert solve_xlog(2.0, -0.5) == pytest.approx(0.5, abs=1e-10)
-
-
-def test_solve_xlog_rejects_bad_base():
-    for a in (1.0, 0.5, -2.0, math.inf, float("nan")):
-        with pytest.raises(DomainError):
-            solve_xlog(a, 0.5)
-    with pytest.raises(DomainError):
-        solve_xlog(2.0, math.inf)
-
-
-def test_solve_xlog_outside_window():
-    # b*ln(a) = -0.6*ln(2) = -0.4159 < -1/e: no real solution
-    with pytest.raises(DomainError):
-        solve_xlog(2.0, -0.6, LOWER)
-
-
-@pytest.mark.parametrize("branch", [PRINCIPAL, LOWER], ids=lambda b: b.value)
-def test_solve_xlog_within_4_ulps_of_mpmath(branch):
-    """x = y / W(y) with y = b ln a, against mpmath's exp(W(y)) at the same
-    double y.  exp(W(y)) would multiply W's rounding by |W|, about 900 ulps
-    at worst on the lower branch."""
-    mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(31)
-    ys = [-(10.0 ** rng.uniform(-300, math.log10(-BRANCH_POINT))) for _ in range(300)]
-    ys += [BRANCH_POINT + 10.0 ** rng.uniform(-16, math.log10(0.3)) for _ in range(200)]
-    if branch is PRINCIPAL:
-        ys += [10.0 ** rng.uniform(-300, 300) for _ in range(300)]
-    k = 0 if branch is PRINCIPAL else -1
-    with mpmath.workdps(50):
-        for y in ys:
-            a = rng.choice((1.5, 2.0, math.e, 10.0, 1e6))
-            b = y / math.log(a)
-            y = b * math.log(a)  # the double solve_xlog passes to W
-            if y < BRANCH_POINT:
-                continue  # rounding moved y out of W's domain
-            exact = mpmath.exp(mpmath.lambertw(y, k).real)
-            x = solve_xlog(a, b, branch)
-            assert float(abs(x - exact)) <= 4 * math.ulp(float(exact)), (a, b)
-
-
-@given(
-    st.floats(min_value=-0.5, max_value=20.0),
-    st.floats(min_value=1.5, max_value=10.0),
-)
-@settings(max_examples=200)
-def test_solve_xlog_satisfies_equation(b, a):
-    arg = b * math.log(a)
-    if arg < BRANCH_POINT + 1e-3:
-        return  # too close to the fold for the 1e-10 contract
-    x = solve_xlog(a, b, PRINCIPAL)
-    assert x * math.log(x, a) == pytest.approx(b, rel=1e-10, abs=1e-10)
-
-
 # ------------------------------------------------------------------- derivative
 
 
@@ -350,6 +286,28 @@ def test_curve_endpoints_exact():
 def test_curve_endpoint_exact_where_the_step_rounds():
     # lo + 8 * ((hi - lo) / 8) rounds to -0.010000000000000009 here.
     assert w_curve(-0.3, -0.01, 9, LOWER)[-1][0] == -0.01
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.0, 1e306, 200), (0.0, sys.float_info.max, 7), (-1e307, 1.6e308, 50),
+    (-8e307, 8e307, 101), (1e306, 0.0, 200),
+])
+def test_grid_points_whose_product_overflows_are_finite_and_exact(lo, hi, n):
+    """Where i (hi - lo) overflows, a point is within 2 ulps of the exact
+    lo + i (hi - lo) / (n - 1); every other point is the plain formula's double."""
+    xs = _grid(lo, hi, n)
+    exact_step = (Fraction(hi) - Fraction(lo)) / (n - 1)
+    overflowed = 0
+    for i, x in enumerate(xs[:-1]):
+        plain = lo + i * (hi - lo) / (n - 1)
+        if math.isfinite(plain):
+            assert x == plain, i
+        else:
+            overflowed += 1
+            assert abs(Fraction(x) - (Fraction(lo) + i * exact_step)) <= 2 * Fraction(math.ulp(x))
+    assert overflowed
+    assert xs[0] == lo and xs[-1] == hi
+    assert xs == sorted(xs, reverse=hi < lo)
 
 
 def test_curve_single_point():

@@ -14,7 +14,6 @@ from reachcalc.lambertw import BRANCH_POINT, BranchChoice, eval_w
 from reachcalc.loss import (
     convexity_certificate,
     f_exp_negw,
-    f_inverse,
     f_prime,
     matching_loss,
 )
@@ -307,41 +306,3 @@ def test_convexity_certificate_evaluates_f_once_per_grid_point(monkeypatch):
     # f(x - step) and f(x + step) at each of the 1,035 points, plus f(x) at
     # the first: every later f(x) is the previous point's f(x + step).
     assert len(calls) == 2 * 1035 + 1
-
-
-# --------------------------------------------------------------------- inverse
-
-
-def test_f_inverse_pinned():
-    assert f_inverse(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert f_inverse(math.e) == pytest.approx(BRANCH_POINT, abs=1e-9)
-    omega = eval_w(1.0, BranchChoice.PRINCIPAL).value
-    assert f_inverse(math.exp(-omega)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_f_inverse_closed_form_against_mpmath():
-    """f_inverse(y) is -ln(y)/y to within 2 ulps, and +0.0 at y = 1."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        ys = [math.exp(-0.5 * k) for k in range(-2, 120)] + [1e-10, 1e-300, 0.5, 0.999, math.e]
-        for y in ys:
-            exact = -mpmath.log(y) / y
-            if exact == 0:
-                continue
-            assert abs(f_inverse(y) - exact) <= 2 * math.ulp(float(exact)), y
-        assert f_inverse(1.0) == 0.0
-        assert math.copysign(1.0, f_inverse(1.0)) == 1.0
-
-
-def test_f_inverse_domain():
-    for y in (0.0, -0.5, math.e + 1e-9, math.nan):
-        with pytest.raises(DomainError):
-            f_inverse(y)
-
-
-@given(st.floats(min_value=0.01, max_value=2.5))
-@settings(max_examples=100)
-def test_f_inverse_roundtrip(y):
-    # y close to e maps to the fold where f' diverges; that edge is pinned
-    # above, the smooth region must round-trip tightly.
-    assert f_exp_negw(f_inverse(y)) == pytest.approx(y, rel=1e-9)

@@ -35,7 +35,6 @@ from reachcalc.machine import (
     literal_program,
     reachability_report,
     run,
-    solution_distribution,
 )
 
 import oracles
@@ -562,30 +561,6 @@ def test_kolmogorov_upper_never_beats_literal():
         bound = kolmogorov_upper(rho, 14)
         assert bound.bits <= literal_program(rho).length
         assert run(bound.witness) == rho
-
-
-# ------------------------------------------------------------------- weighting
-
-
-def test_solution_distribution_schemes():
-    s = enumerate_solutions("0", 6)
-    uniform = solution_distribution(s, Scheme.UNIFORM)
-    assert uniform.probabilities == (0.5, 0.5)
-    weighted = solution_distribution(s, Scheme.LENGTH_WEIGHTED)
-    assert weighted.probabilities == (0.8, 0.2)
-
-
-def test_solution_distribution_rejects_empty():
-    s = enumerate_solutions("01010101", 8)
-    with pytest.raises(EmptySetError):
-        solution_distribution(s, Scheme.UNIFORM)
-
-
-def test_solution_distribution_rejects_an_unknown_scheme():
-    for rho in ("0", "01010101"):  # a set with solutions, and an empty one
-        s = enumerate_solutions(rho, 8)
-        with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
-            solution_distribution(s, "bogus")
 
 
 # --------------------------------------------------------------------- reports

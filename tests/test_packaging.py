@@ -1,14 +1,19 @@
-"""The source distribution: what `pyproject.toml` packs and the script it declares.
+"""The source distribution: what `pyproject.toml` packs, the script it declares,
+and the Python floor it claims.
 
 The build runs on a copy of the project files in a temporary directory, so
 that no egg-info lands in the tree, and in a child process with a timeout.
 It calls the setuptools backend directly, so no pip and no network are
 involved.  The backend is whichever setuptools is installed, so the test
 also checks that it meets the floor `pyproject.toml` declares: a floor no
-build here has met is a claim nothing checked.  No wheel is built.
+build here has met is a claim nothing checked.  No wheel is built.  The
+declared `requires-python` floor is held by parsing every module at that
+feature version, so syntax newer than the floor fails here.
 """
 
+import ast
 import configparser
+import re
 import shutil
 import subprocess
 import sys
@@ -65,3 +70,14 @@ def test_sdist_holds_the_package_modules_and_declares_the_script(tmp_path):
     modules = {f"src/reachcalc/{path.name}" for path in PACKAGE.glob("*.py")}
     assert files == modules | METADATA
     assert dict(scripts["console_scripts"]) == {"reachcalc": "reachcalc.cli:main"}
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert floor, "pyproject.toml declares no requires-python floor of the form >=X.Y"
+    version = (int(floor[1]), int(floor[2]))
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

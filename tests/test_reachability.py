@@ -9,12 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reachcalc.entropy import VARIATION_MAX, entropy_to_work, work_to_entropy
-from reachcalc.errors import DegenerateSetWarning, DomainError, EmptySetError
+from reachcalc.errors import DegenerateSetWarning, DomainError
 from reachcalc.lambertw import BranchChoice
 from reachcalc.reachability import (
-    ReachabilityRecord,
-    kol_posterior_identity,
-    normalize,
     reach_curve,
     reach_from_energy,
     reach_from_variation,
@@ -173,70 +170,13 @@ def test_energy_temperature_validation():
             reach_from_energy(1e-22, temperature)
 
 
-# ------------------------------------------------------------------- normalize
-
-
-def make_record(pid, reach):
-    return ReachabilityRecord(
-        program_id=pid,
-        p_i=0.5,
-        variation=0.5,
-        reachability=reach,
-        branch=LOWER,
-        energy=0.0,
-        temperature=300.0,
-    )
-
-
-def test_normalize_floats_and_records():
-    assert normalize([0.2, 0.2]) == [0.5, 0.5]
-    records = [make_record("0011", 0.1), make_record("0111", 0.3)]
-    out = normalize(records)
-    assert math.fsum(out) == pytest.approx(1.0, abs=1e-14)
-    assert out[1] == pytest.approx(0.75, rel=1e-14)
-
-
-def test_normalize_preserves_argmax():
-    values = [0.31, 0.07, 0.44, 0.02, 0.44 - 1e-9]
-    out = normalize(values)
-    assert max(range(5), key=out.__getitem__) == max(range(5), key=values.__getitem__)
-
-
-def test_normalize_rejects_empty_and_nonpositive():
-    with pytest.raises(EmptySetError):
-        normalize([])
-    with pytest.raises(DomainError):
-        normalize([0.5, 0.0])
-    with pytest.raises(DomainError):
-        normalize([0.5, -0.5])
-    with pytest.raises(DomainError):
-        normalize([0.5, math.inf])
-    # A reachability is a probability: above 1 is out of domain, and two
-    # values near the float maximum would overflow the sum.
-    with pytest.raises(DomainError):
-        normalize([0.5, 1.5])
-    with pytest.raises(DomainError):
-        normalize([1e308, 1e308])
-
-
-@given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=20))
-def test_normalize_sums_to_one(values):
-    assert math.fsum(normalize(values)) == pytest.approx(1.0, abs=1e-12)
-
-
-# ------------------------------------------------------------------- posterior
-
-
-def test_posterior_identity():
-    assert kol_posterior_identity(0.25, 1.0) == 0.25
-    assert kol_posterior_identity(0.25, 0.5) == 0.125
-    assert kol_posterior_identity(0.0, 1.0) == 0.0
-    with pytest.raises(DomainError):
-        kol_posterior_identity(1.5, 1.0)
-    with pytest.raises(DomainError):
-        kol_posterior_identity(0.5, -0.1)
-    with pytest.raises(DomainError):
-        kol_posterior_identity(math.nan, 1.0)
+@pytest.mark.parametrize("temperature", [1e-301, 1e-320, 5e-324])
+def test_energy_form_rejects_a_landauer_unit_that_underflows(temperature):
+    """Below about 1.8e-301 K, k T ln2 rounds to 0, so no energy can be divided by it."""
+    assert entropy_to_work(1.0, temperature) == 0.0
+    for energy in (0.0, 1e-30, 1e-310):
+        with pytest.raises(DomainError, match=re.escape(f"T = {temperature!r} K")):
+            reach_from_energy(energy, temperature)
 
 
 # ----------------------------------------------------------------------- curve

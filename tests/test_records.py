@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from reachcalc.entropy import BOLTZMANN_K, EntropyVariation, FiniteDistribution, ThermoEntropy
+from reachcalc.entropy import EntropyVariation, FiniteDistribution
 from reachcalc.errors import DomainError, InvalidProgram
 from reachcalc.lambertw import BranchChoice, WEvaluation
 from reachcalc.loss import ConvexityCertificate, LossEvaluation
@@ -32,11 +32,6 @@ CASES = [
         [("index", REQUIRED), ("total_entropy", REQUIRED), ("partial_entropy", REQUIRED),
          ("variation", REQUIRED)],
         (1, 0.81, 0.31, 0.5),
-    ),
-    (
-        ThermoEntropy,
-        [("shannon_bits", REQUIRED), ("boltzmann", REQUIRED), ("boltzmann_constant", BOLTZMANN_K)],
-        (1.0, 9.57e-24, 1.0),
     ),
     (
         WEvaluation,
