@@ -13,14 +13,15 @@ from reachcalc.entropy import (
     FiniteDistribution,
     algorithmic_entropy,
     entropy_to_work,
+    entropy_variation,
     shannon_entropy,
     work_to_entropy,
 )
 from reachcalc.errors import ReachcalcError
-from reachcalc.lambertw import BranchChoice, eval_w, w_derivative
+from reachcalc.lambertw import BranchChoice, eval_w, w_curve, w_derivative
 from reachcalc.loss import f_exp_negw, f_prime, matching_loss
 from reachcalc.machine import reachability_report
-from reachcalc.reachability import reach_from_energy, reach_from_variation
+from reachcalc.reachability import reach_curve, reach_from_energy, reach_from_variation
 from reachcalc.search import Budget, demiurge_search
 
 LOWER, PRINCIPAL = BranchChoice.LOWER, BranchChoice.PRINCIPAL
@@ -47,6 +48,14 @@ CALLS = {
     "matching_loss(z_hat, v)": lambda v: matching_loss(0.0, v),
     "shannon_entropy([v])": lambda v: shannon_entropy([v]),
     "FiniteDistribution([p, v])": lambda v: FiniteDistribution([0.5, v]),
+    "entropy_variation([p, v], 1)": lambda v: entropy_variation([0.5, v], 1),
+    "w_curve(v, hi)": lambda v: w_curve(v, 1.0, 3, PRINCIPAL),
+    "w_curve(lo, v)": lambda v: w_curve(0.0, v, 3, PRINCIPAL),
+    # One point skips the span check, so W itself must reject it.
+    "w_curve(v, v, n=1)": lambda v: w_curve(v, v, 1, PRINCIPAL),
+    "reach_curve(v, hi)": lambda v: reach_curve(v, 0.5, 3, LOWER),
+    "reach_curve(lo, v)": lambda v: reach_curve(0.1, v, 3, LOWER),
+    "reach_curve(v, v, n=1)": lambda v: reach_curve(v, v, 1, LOWER),
     "demiurge_search(temperature=v)": lambda v: demiurge_search("0", "size-descending",
                                                                 temperature=v),
     "reachability_report(temperature=v)": lambda v: reachability_report("0", 4, temperature=v),

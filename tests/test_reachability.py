@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from reachcalc.entropy import VARIATION_MAX, entropy_to_work, work_to_entropy
 from reachcalc.errors import DegenerateSetWarning, DomainError
-from reachcalc.lambertw import BranchChoice
+from reachcalc.lambertw import BRANCH_POINT, BranchChoice
 from reachcalc.reachability import (
     reach_curve,
     reach_from_energy,
@@ -141,6 +141,25 @@ def test_energy_and_variation_forms_within_4_ulps_of_mpmath():
                     energy = entropy_to_work(h, temperature)
                     got = reach_from_energy(energy, temperature, branch)
                     assert abs(got - exact) <= budget, (h, temperature, branch)
+
+
+@pytest.mark.parametrize("branch", [PRINCIPAL, LOWER], ids=lambda b: b.value)
+def test_reach_from_variation_within_4_ulps_of_mpmath_over_its_window(branch):
+    """P = x / W(x) with x = -h ln2, against mpmath's exp(W(x)) at the same
+    double x, for h from 1e-300 to the bound and within 1e-16 of it.  500
+    seeded h per branch."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(31)
+    hs = [10.0 ** rng.uniform(-300, math.log10(VARIATION_MAX)) for _ in range(300)]
+    hs += [VARIATION_MAX - 10.0 ** rng.uniform(-16, math.log10(0.4)) for _ in range(200)]
+    k = 0 if branch is PRINCIPAL else -1
+    with mpmath.workdps(50):
+        for h in hs:
+            x = -h * math.log(2.0)  # the double reach_from_variation passes to W
+            assert x >= BRANCH_POINT, h
+            exact = mpmath.exp(mpmath.lambertw(x, k).real)
+            got = reach_from_variation(h, branch)
+            assert float(abs(got - exact)) <= 4 * math.ulp(float(exact)), h
 
 
 def test_lower_branch_returns_p_from_its_own_variation():
