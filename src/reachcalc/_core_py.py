@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from itertools import product
+from itertools import islice, product
 
 from .errors import ResourceExceeded
 
@@ -56,16 +56,18 @@ def run_bits(bits: str, width: int) -> str | None:
     return out
 
 
-def scan_length_class(n_opcodes: int, target: str) -> list[str]:
+def scan_length_class(n_opcodes: int, target: str, *, stop: int | None = None) -> list[str]:
     """All valid programs of exactly n_opcodes opcodes printing `target`,
-    in rank order.
+    in rank order; only those among the class's first `stop` programs, the
+    ranks below stop, when it is given.
 
     Every candidate runs at the target's width: the output only grows, so a
     program stopped for outgrowing the target could never have printed it.
     The enumeration budget keeps n_opcodes far below DEFAULT_MAX_STEPS.
     """
     width = len(target)
-    return [bits for bits in iter_valid_programs(n_opcodes) if run_bits(bits, width) == target]
+    return [bits for bits in islice(iter_valid_programs(n_opcodes), stop)
+            if run_bits(bits, width) == target]
 
 
 def iter_valid_programs(n_opcodes: int) -> Iterator[str]:

@@ -109,6 +109,8 @@ def matching_loss(z_hat: float, z: float) -> LossEvaluation:
     Both arguments must lie strictly above -1/e (the slope at the branch
     point diverges).  The divergence comes from the cancellation-free form
     of the module docstring; it is nonnegative and vanishes iff z_hat == z.
+    A divergence whose exact value exceeds the largest double is inf, and
+    only such a one.
     """
     for name, v in (("z_hat", z_hat), ("z", z)):
         if math.isnan(v) or v <= BRANCH_POINT:

@@ -17,10 +17,11 @@ by length class, lexicographic within a class.  Programs run, and length
 classes are scanned, on the pure-Python kernel in reachcalc._core_py.  It
 owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
-Enumeration scans the classes from the shortest one, which the kernel's
-prefix table gives, up to len(rho) + 1, and builds each larger class from
-the class below: past that class every solution starts with a DOUBLE on the
-empty output, a no-op.
+Enumeration builds each class by one rule: its emit-led hits, then DOUBLE +
+each hit of the class below, since a DOUBLE on the empty output is a no-op.
+Only the emit-led programs are scanned, and only in the classes from the
+shortest one, which the kernel's prefix table gives, up to len(rho) + 1;
+past that class no emit-led program hits.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
 and its output never shrinks.  So the step cap is a bound on the opcode
@@ -213,13 +214,14 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     """Each length class's solutions of problem, shortest class first; max_len
     and the gate DEFAULT_ENUM_BUDGET are checked when iteration starts.
 
-    It scans only the classes from the shortest one up to len(target) + 1;
-    every class below the shortest is empty.  It builds each larger class
-    from the class below.  A program of n >= len(target) + 2 opcodes that
-    starts with an emit prints at least n - 1 bits, since every later
-    opcode but HALT adds a bit, so it misses; every hit starts with a
-    DOUBLE on the empty output, a no-op.  So class n's hits are DOUBLE + each
-    hit of class n - 1, and DOUBLE, the highest rank digit, keeps rank order.
+    Class n's hits are its emit-led hits, then DOUBLE + each hit of class
+    n - 1.  A DOUBLE on the empty output is a no-op, and DOUBLE, the highest
+    rank digit, ranks after every emit and keeps rank order.  The emit-led
+    programs are the ranks below 2 * 3**(n - 2), or the lone HALT when
+    n = 1; only they are scanned, and only in the classes from the shortest
+    one up to len(target) + 1.  Every class below the shortest is empty,
+    and an emit-led program of n >= len(target) + 2 opcodes prints at least
+    n - 1 bits, since every later opcode but HALT adds a bit, so it misses.
     """
     _check_even_length("max_len", max_len, 0)
     if max_len >= DEFAULT_ENUM_BUDGET.bit_length():  # i.e. 2**max_len > DEFAULT_ENUM_BUDGET
@@ -230,10 +232,11 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     first = _core_py.shortest_class(target)
     hits: list[str] = []
     for n_opcodes in range(1, max_len // 2 + 1):
-        if n_opcodes > len(target) + 1:
-            hits = [DOUBLE + bits for bits in hits]
-        elif n_opcodes >= first:
-            hits = _core_py.scan_length_class(n_opcodes, target)
+        scanned = []
+        if first <= n_opcodes <= len(target) + 1:
+            emit_led = 2 * 3 ** (n_opcodes - 2) if n_opcodes > 1 else 1
+            scanned = _core_py.scan_length_class(n_opcodes, target, stop=emit_led)
+        hits = scanned + [DOUBLE + bits for bits in hits]
         yield hits
 
 

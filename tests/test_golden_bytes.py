@@ -7,7 +7,9 @@ change to what these commands print, or how they exit, shows here.  It was
 recorded again when `search --max-len` became a usage error for the
 exhaustive-by-size and size-descending policies, which had ignored it.  Those
 calls then dropped the option, and the tree before that change gives the same
-digest for the new set.
+digest for the new set.  It was recorded once more when LONG_SOLVES joined
+the set, on the tree before enumeration took each class's DOUBLE-led hits
+from the class below; the tree after that change gives the same digest.
 `report` prints values of W, which test_lambertw.py holds within 4 ulps of
 the exact value, so its bytes are pinned too, by REPORT_DIGEST, first
 recorded on the tree before `solve` and `report` built their rows once per
@@ -23,7 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from reachcalc import cli
 
-DIGEST = "39bb64e4070eb87948683767540c0de5ef6b5a3f7f63caf882dd409cf9488e20"
+DIGEST = "9117ac64db2db5700428bf22385afb63027d327feea402fbb235f90201eff148"
 REPORT_DIGEST = "38f602af3ea1d1b67f698e7d5f4a9837ffc29ea2e10f279e87122cd29b678258"
 
 TARGETS = ("", "0", "1", "01", "0000", "0101", "0110", "10110", "00000000",
@@ -32,6 +34,15 @@ FORMATS = ("table", "records", "csv")
 POLICIES = ("exhaustive-by-size", "size-descending", "reachability-greedy")
 REPORT_TARGETS = ("", "0", "01", "0000", "0110", "10110")
 SCHEMES = ("lengthweighted", "uniform")
+# solve past 8 bits and 16 bits of program, where classes of more than 8
+# opcodes are built: doubling targets, then targets drawn once from
+# random.Random(28) at 12-16 bits, most with no solution of <= 24 bits.
+# Each max-len stays low enough that these calls take under 1 s in all.
+LONG_SOLVES = (("0101" * 3, 18), ("0101" * 3, 20), ("0110" * 4, 18), ("0110" * 4, 20),
+               ("01" * 8, 18), ("01" * 8, 20), ("01" * 8, 22),
+               ("000011000100", 18), ("000011000100", 20), ("101011010111100", 22),
+               ("0001000110010100", 24), ("110101001001", 24), ("101110001010000", 24),
+               ("000110001010000", 24))
 BRANCHES = ("lower", "principal")
 
 
@@ -50,6 +61,9 @@ def invocations() -> list[list[str]]:
                               "--budget-programs", budget, "--format", FORMATS[(i + j) % 3]])
         calls.append(["search", target, "--policy", "size-descending", "--start-length", "16",
                       "--budget-programs", "3000", "--format", FORMATS[i % 3]])
+    for i, (target, max_len) in enumerate(LONG_SOLVES):
+        calls.append(["solve", target, "--max-len", str(max_len), "--scheme", SCHEMES[i % 2],
+                      "--format", FORMATS[i % 3]])
     calls += [
         ["solve", "0", "--max-len", "26"],
         ["solve", "0", "--max-len", "7"],

@@ -190,6 +190,25 @@ def test_matching_loss_of_huge_close_pairs_against_mpmath(z_hat, z):
     assert abs(matching_loss(z_hat, z).divergence - exact) <= PAIR_BUDGET * abs(exact)
 
 
+@pytest.mark.parametrize("z_hat, z, divergence", [
+    (1e308, -0.15, 1.7451024479140844e308),
+    (1e308, -0.2, math.inf),  # exactly about 2.27e308
+    (5e307, -0.3, math.inf),  # about 2.61e308
+    (sys.float_info.max, -0.02, math.inf),  # about 1.91e308
+])
+def test_matching_loss_at_the_top_of_the_double_range(z_hat, z, divergence):
+    """Past the seeded pairs' 1e200: a divergence near the largest double is
+    within 8 eps of mpmath, and one whose exact value exceeds it is inf."""
+    mpmath = pytest.importorskip("mpmath")
+    exact = _divergence_reference(mpmath, z_hat, z)
+    got = matching_loss(z_hat, z).divergence
+    assert got == divergence
+    if divergence == math.inf:
+        assert exact > sys.float_info.max
+    else:
+        assert abs(got - exact) <= PAIR_BUDGET * abs(exact)
+
+
 def _seeded_pairs(rng, count):
     """(z_hat, z) pairs from four regions: tiny |z|, next to the branch
     point, moderate and huge.  Four pairs in five put z_hat within a

@@ -338,18 +338,26 @@ def _oracle_table():
 
 @functools.cache
 def _class_outputs(n_opcodes, width):
-    """Output -> the programs of n_opcodes opcodes printing it, each run once
-    at width through the kernel's interpreter: scan_length_class's brute
-    force, shared by every target of that width."""
+    """Output -> the (rank, program) pairs of n_opcodes opcodes printing it,
+    each run once at width through the kernel's interpreter:
+    scan_length_class's brute force, shared by every target of that width."""
     outputs = {}
-    for bits in _core_py.iter_valid_programs(n_opcodes):
-        outputs.setdefault(_core_py.run_bits(bits, width), []).append(bits)
+    for rank, bits in enumerate(_core_py.iter_valid_programs(n_opcodes)):
+        outputs.setdefault(_core_py.run_bits(bits, width), []).append((rank, bits))
     return outputs
 
 
-def _shared_scan(n_opcodes, target):
-    """scan_length_class(n_opcodes, target), from the shared brute force."""
-    return list(_class_outputs(n_opcodes, len(target)).get(target, []))
+def _shared_scan(n_opcodes, target, *, stop=None):
+    """scan_length_class(n_opcodes, target, stop=stop), from the shared brute
+    force."""
+    return [bits for rank, bits in _class_outputs(n_opcodes, len(target)).get(target, [])
+            if stop is None or rank < stop]
+
+
+def _emit_led(n_opcodes):
+    """The programs of n_opcodes opcodes not led by a DOUBLE: the ranks
+    below 2 * 3**(n - 2), or the lone HALT."""
+    return 2 * 3 ** (n_opcodes - 2) if n_opcodes > 1 else 1
 
 
 def test_enumerate_matches_the_oracle_through_the_derived_classes(monkeypatch):
@@ -405,12 +413,30 @@ def test_the_prefix_table_matches_the_oracle():
             assert got == [bits for bits in programs if len(bits) == 2 * n], (target, n)
 
 
-def test_each_class_past_len_plus_one_is_the_class_below_behind_a_double():
-    """The identity enumeration builds on, checked on the brute-force scan."""
+def test_each_class_is_its_emit_led_hits_then_the_class_below_behind_a_double():
+    """The one rule enumeration builds every class by, checked on the
+    brute-force scan for every class from 2 to 9 opcodes: the emit-led hits,
+    then DOUBLE + each hit of the class below.  Past len + 1 no emit-led
+    program hits, so only the classes up to len + 1 need a scan."""
     for target in _targets(6):
-        scans = {n: _shared_scan(n, target) for n in range(len(target) + 1, 10)}
-        for n in range(len(target) + 2, 10):
-            assert scans[n] == [_core_py.DOUBLE + p for p in scans[n - 1]], (target, n)
+        for n in range(2, 10):
+            emit_led = _shared_scan(n, target, stop=_emit_led(n))
+            below = [_core_py.DOUBLE + p for p in _shared_scan(n - 1, target)]
+            assert _shared_scan(n, target) == emit_led + below, (target, n)
+            if n > len(target) + 1:
+                assert emit_led == [], (target, n)
+
+
+def test_scan_length_class_keeps_only_the_ranks_below_stop():
+    """scan_length_class(n, target, stop=k) is the full scan's hits of rank
+    below k, for every target of <= 6 bits and every class up to 9 opcodes.
+    The full scan is the shared brute force, which
+    test_class_hit_ranks_match_the_brute_force_scan holds to the kernel."""
+    for n in range(1, 10):
+        for target in _targets(6):
+            for stop in (0, 1, _emit_led(n), 3 ** (n - 1), None):
+                assert _core_py.scan_length_class(n, target, stop=stop) == _shared_scan(
+                    n, target, stop=stop), (n, target, stop)
 
 
 @pytest.mark.parametrize("target, scanned", [
@@ -420,17 +446,18 @@ def test_each_class_past_len_plus_one_is_the_class_below_behind_a_double():
     ("01" * 8, list(range(6, 13))),
 ])
 def test_solve_scans_only_the_classes_up_to_len_plus_one(target, scanned, monkeypatch, capsys):
-    """Scans run from the shortest class to len + 1, within the cap."""
+    """Scans run from the shortest class to len + 1, within the cap, and
+    each stops after the class's emit-led programs."""
     calls = []
     scan = _core_py.scan_length_class
 
-    def spy(n_opcodes, rho):
-        calls.append(n_opcodes)
-        return scan(n_opcodes, rho)
+    def spy(n_opcodes, rho, *, stop):
+        calls.append((n_opcodes, stop))
+        return scan(n_opcodes, rho, stop=stop)
 
     monkeypatch.setattr(_core_py, "scan_length_class", spy)
     assert cli.main(["solve", target, "--max-len", "24"]) == 0
-    assert calls == scanned
+    assert calls == [(n, _emit_led(n)) for n in scanned]
     assert "max_len: 24\n" in capsys.readouterr().out
 
 
