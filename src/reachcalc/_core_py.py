@@ -7,9 +7,12 @@ DEFAULT_MAX_STEPS.  The machine is straight-line, so a program of n opcodes
 runs exactly n steps and the step cap bounds the opcode count;
 check_step_cap is the one place that checks it.
 reachcalc.machine and reachcalc.search call these directly.  Programs
-arriving here are validated (even, terminal HALT only).  The kernel also owns
-each target's prefix table, built once per target: its shortest class bounds
-both the enumeration scans and the walk.
+arriving here are validated (even, terminal HALT only).  The length-class
+scan runs only the programs led by the emit of the target's first bit, one
+third of the class; reachcalc.machine takes the DOUBLE-led hits from the
+class below.  The kernel also owns each target's prefix table, built once
+per target: its shortest class bounds both the enumeration scans and the
+walk.
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from itertools import islice, product
+from itertools import product
 
 from .errors import ResourceExceeded
 
@@ -56,18 +59,23 @@ def run_bits(bits: str, width: int) -> str | None:
     return out
 
 
-def scan_length_class(n_opcodes: int, target: str, *, stop: int | None = None) -> list[str]:
-    """All valid programs of exactly n_opcodes opcodes printing `target`,
-    in rank order; only those among the class's first `stop` programs, the
-    ranks below stop, when it is given.
+def scan_length_class(n_opcodes: int, target: str) -> list[str]:
+    """The emit-led programs of exactly n_opcodes opcodes printing `target`,
+    in rank order: the lone HALT when n_opcodes is 1 and the target is empty.
 
-    Every candidate runs at the target's width: the output only grows, so a
-    program stopped for outgrowing the target could never have printed it.
-    The enumeration budget keeps n_opcodes far below DEFAULT_MAX_STEPS.
+    A program's first emitted bit is its output's first bit, so for
+    n_opcodes >= 2 and a non-empty target only the programs led by the emit
+    of target[0] are run, a third of the class and one block of ranks.  In
+    every other case no emit-led program prints the target.  Every candidate
+    runs at the target's width: the output only grows, so a program stopped
+    for outgrowing the target could never have printed it.  The enumeration
+    budget keeps n_opcodes far below DEFAULT_MAX_STEPS.
     """
-    width = len(target)
-    return [bits for bits in islice(iter_valid_programs(n_opcodes), stop)
-            if run_bits(bits, width) == target]
+    if n_opcodes < 2 or not target:
+        return [HALT] if n_opcodes == 1 and not target else []
+    lead, width = _OPCODES[target[0] == "1"], len(target)
+    candidates = (lead + "".join(body) + HALT for body in product(_OPCODES, repeat=n_opcodes - 2))
+    return [bits for bits in candidates if run_bits(bits, width) == target]
 
 
 def iter_valid_programs(n_opcodes: int) -> Iterator[str]:

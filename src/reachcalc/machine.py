@@ -19,9 +19,11 @@ owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
 Enumeration builds each class by one rule: its emit-led hits, then DOUBLE +
 each hit of the class below, since a DOUBLE on the empty output is a no-op.
-Only the emit-led programs are scanned, and only in the classes from the
-shortest one, which the kernel's prefix table gives, up to len(rho) + 1;
-past that class no emit-led program hits.
+A program's first emitted bit is its output's first bit, so only the
+programs led by the emit of rho's first bit are scanned, one third of the
+class, and only in the classes from the shortest one, which the kernel's
+prefix table gives, up to len(rho) + 1; past that class no emit-led program
+hits.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
 and its output never shrinks.  So the step cap is a bound on the opcode
@@ -216,12 +218,14 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
 
     Class n's hits are its emit-led hits, then DOUBLE + each hit of class
     n - 1.  A DOUBLE on the empty output is a no-op, and DOUBLE, the highest
-    rank digit, ranks after every emit and keeps rank order.  The emit-led
-    programs are the ranks below 2 * 3**(n - 2), or the lone HALT when
-    n = 1; only they are scanned, and only in the classes from the shortest
-    one up to len(target) + 1.  Every class below the shortest is empty,
-    and an emit-led program of n >= len(target) + 2 opcodes prints at least
-    n - 1 bits, since every later opcode but HALT adds a bit, so it misses.
+    rank digit, ranks after every emit and keeps rank order.  The kernel's
+    scan_length_class gives the emit-led hits: for n >= 2 it runs only the
+    programs led by the emit of target[0], one block of 3**(n - 2) ranks,
+    since the first emitted bit is the output's first bit; for n = 1, the
+    lone HALT.  It is called only in the classes from the shortest one up to
+    len(target) + 1.  Every class below the shortest is empty, and an
+    emit-led program of n >= len(target) + 2 opcodes prints at least n - 1
+    bits, since every later opcode but HALT adds a bit, so it misses.
     """
     _check_even_length("max_len", max_len, 0)
     if max_len >= DEFAULT_ENUM_BUDGET.bit_length():  # i.e. 2**max_len > DEFAULT_ENUM_BUDGET
@@ -232,10 +236,8 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     first = _core_py.shortest_class(target)
     hits: list[str] = []
     for n_opcodes in range(1, max_len // 2 + 1):
-        scanned = []
-        if first <= n_opcodes <= len(target) + 1:
-            emit_led = 2 * 3 ** (n_opcodes - 2) if n_opcodes > 1 else 1
-            scanned = _core_py.scan_length_class(n_opcodes, target, stop=emit_led)
+        scanned = (_core_py.scan_length_class(n_opcodes, target)
+                   if first <= n_opcodes <= len(target) + 1 else [])
         hits = scanned + [DOUBLE + bits for bits in hits]
         yield hits
 

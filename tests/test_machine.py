@@ -291,7 +291,8 @@ def test_enumerate_agrees_with_all_strings_oracle():
 
 def test_scan_length_class_pinned():
     assert _core_py.scan_length_class(2, "0") == ["0011"]
-    assert _core_py.scan_length_class(3, "0") == ["100011"]
+    assert _core_py.scan_length_class(2, "1") == ["0111"]
+    assert _core_py.scan_length_class(3, "0") == []  # its one hit, 100011, is DOUBLE-led
     assert _core_py.scan_length_class(5, "01010101") == ["0001101011"]
     assert _core_py.scan_length_class(1, "") == ["11"]
     assert _core_py.scan_length_class(1, "0") == []
@@ -299,12 +300,14 @@ def test_scan_length_class_pinned():
 
 def test_scan_at_the_target_width_matches_the_64_bit_oracle():
     """Candidates whose output outgrows the target stop early in the scan;
-    the oracle runs every one at 64 bits, and the hits agree."""
+    the oracle runs every one at 64 bits, and the hits in the scan's block
+    of ranks agree."""
     for n in range(1, 11):
-        outputs = [(bits, oracles.oracle_run(bits)) for bits in oracles._class_programs(n)]
-        for target in ("", "0", "01", "0000"):
+        outputs = [oracles.oracle_run(bits) for bits in oracles._class_programs(n)]
+        for target in ("", "0", "1", "01", "10", "0000"):
             assert _core_py.scan_length_class(n, target) == [
-                bits for bits, out in outputs if out == target
+                _core_py.rank_bits(n, rank) for rank in _emit_block(n, target)
+                if outputs[rank] == target
             ], (n, target)
 
 
@@ -340,31 +343,38 @@ def _oracle_table():
 def _class_outputs(n_opcodes, width):
     """Output -> the (rank, program) pairs of n_opcodes opcodes printing it,
     each run once at width through the kernel's interpreter:
-    scan_length_class's brute force, shared by every target of that width."""
+    the brute force of a whole class, shared by every target of that width."""
     outputs = {}
     for rank, bits in enumerate(_core_py.iter_valid_programs(n_opcodes)):
         outputs.setdefault(_core_py.run_bits(bits, width), []).append((rank, bits))
     return outputs
 
 
-def _shared_scan(n_opcodes, target, *, stop=None):
-    """scan_length_class(n_opcodes, target, stop=stop), from the shared brute
-    force."""
+def _emit_block(n_opcodes, target):
+    """The ranks of the programs of n_opcodes opcodes led by the emit of
+    target[0], [d * 3**(n - 2), (d + 1) * 3**(n - 2)) with d = int(target[0]);
+    the lone HALT of class 1; none for an empty target in a longer class."""
+    if n_opcodes == 1:
+        return range(1)
+    if n_opcodes < 1 or not target:
+        return range(0)
+    block, d = 3 ** (n_opcodes - 2), int(target[0])
+    return range(d * block, (d + 1) * block)
+
+
+def _shared_scan(n_opcodes, target, *, full=False):
+    """scan_length_class(n_opcodes, target), from the shared brute force cut
+    to the emit block; the whole class's hits when full."""
+    block = _emit_block(n_opcodes, target)
     return [bits for rank, bits in _class_outputs(n_opcodes, len(target)).get(target, [])
-            if stop is None or rank < stop]
-
-
-def _emit_led(n_opcodes):
-    """The programs of n_opcodes opcodes not led by a DOUBLE: the ranks
-    below 2 * 3**(n - 2), or the lone HALT."""
-    return 2 * 3 ** (n_opcodes - 2) if n_opcodes > 1 else 1
+            if full or rank in block]
 
 
 def test_enumerate_matches_the_oracle_through_the_derived_classes(monkeypatch):
     """Enumeration scans the classes from the shortest one to len + 1 and
     builds the rest; at 9 opcodes every target of <= 7 bits has at least
     one built class.  Its scans come from the shared brute force, which
-    test_class_hit_ranks_match_the_brute_force_scan holds to
+    test_scan_length_class_is_the_brute_force_on_its_emit_block holds to
     scan_length_class, so each class runs once per width, not per target."""
     monkeypatch.setattr(_core_py, "scan_length_class", _shared_scan)
     table = _oracle_table()
@@ -415,28 +425,50 @@ def test_the_prefix_table_matches_the_oracle():
 
 def test_each_class_is_its_emit_led_hits_then_the_class_below_behind_a_double():
     """The one rule enumeration builds every class by, checked on the
-    brute-force scan for every class from 2 to 9 opcodes: the emit-led hits,
-    then DOUBLE + each hit of the class below.  Past len + 1 no emit-led
-    program hits, so only the classes up to len + 1 need a scan."""
+    brute-force scan for every class from 2 to 9 opcodes: the hits led by
+    the emit of target[0], then DOUBLE + each hit of the class below.  No
+    program led by the other emit prints the target, and past len + 1 no
+    emit-led program hits, so only the classes up to len + 1 need a scan."""
     for target in _targets(6):
         for n in range(2, 10):
-            emit_led = _shared_scan(n, target, stop=_emit_led(n))
-            below = [_core_py.DOUBLE + p for p in _shared_scan(n - 1, target)]
-            assert _shared_scan(n, target) == emit_led + below, (target, n)
+            emit_led = _shared_scan(n, target)
+            below = [_core_py.DOUBLE + p for p in _shared_scan(n - 1, target, full=True)]
+            assert _shared_scan(n, target, full=True) == emit_led + below, (target, n)
+            block, emit_ranks = _emit_block(n, target), range(2 * 3 ** (n - 2))
+            assert not [rank for rank, _ in _class_outputs(n, len(target)).get(target, [])
+                        if rank in emit_ranks and rank not in block], (target, n)
             if n > len(target) + 1:
                 assert emit_led == [], (target, n)
 
 
-def test_scan_length_class_keeps_only_the_ranks_below_stop():
-    """scan_length_class(n, target, stop=k) is the full scan's hits of rank
-    below k, for every target of <= 6 bits and every class up to 9 opcodes.
-    The full scan is the shared brute force, which
-    test_class_hit_ranks_match_the_brute_force_scan holds to the kernel."""
-    for n in range(1, 10):
+def test_scan_length_class_is_the_brute_force_on_its_emit_block():
+    """scan_length_class(n, target) is the whole class's brute force cut to
+    the block of ranks led by the emit of target[0] (the lone HALT in class
+    1), for every target of <= 6 bits and every class up to 9 opcodes."""
+    for n in range(0, 10):
         for target in _targets(6):
-            for stop in (0, 1, _emit_led(n), 3 ** (n - 1), None):
-                assert _core_py.scan_length_class(n, target, stop=stop) == _shared_scan(
-                    n, target, stop=stop), (n, target, stop)
+            assert _core_py.scan_length_class(n, target) == _shared_scan(n, target), (n, target)
+
+
+@pytest.mark.parametrize("n_opcodes", range(1, 9))
+def test_scan_length_class_runs_only_its_emit_block(n_opcodes, monkeypatch):
+    """The scan's cost: 3**(n - 2) candidates, each led by the emit of
+    target[0], for n >= 2 and a non-empty target; none for an empty target
+    or the one-opcode class."""
+    ran = []
+    run_bits = _core_py.run_bits
+
+    def spy(bits, width):
+        ran.append(bits)
+        return run_bits(bits, width)
+
+    monkeypatch.setattr(_core_py, "run_bits", spy)
+    for target in ("", "0", "1", "0110", "1" * 9):
+        ran.clear()
+        _core_py.scan_length_class(n_opcodes, target)
+        expected = 3 ** (n_opcodes - 2) if n_opcodes >= 2 and target else 0
+        assert len(ran) == expected, (n_opcodes, target)
+        assert {bits[:2] for bits in ran} <= {_core_py._OPCODES[target[:1] == "1"]}
 
 
 @pytest.mark.parametrize("target, scanned", [
@@ -446,32 +478,32 @@ def test_scan_length_class_keeps_only_the_ranks_below_stop():
     ("01" * 8, list(range(6, 13))),
 ])
 def test_solve_scans_only_the_classes_up_to_len_plus_one(target, scanned, monkeypatch, capsys):
-    """Scans run from the shortest class to len + 1, within the cap, and
-    each stops after the class's emit-led programs."""
+    """Scans run from the shortest class to len + 1, within the cap, each
+    called with the class and the target alone."""
     calls = []
     scan = _core_py.scan_length_class
 
-    def spy(n_opcodes, rho, *, stop):
-        calls.append((n_opcodes, stop))
-        return scan(n_opcodes, rho, stop=stop)
+    def spy(n_opcodes, rho):
+        calls.append(n_opcodes)
+        return scan(n_opcodes, rho)
 
     monkeypatch.setattr(_core_py, "scan_length_class", spy)
     assert cli.main(["solve", target, "--max-len", "24"]) == 0
-    assert calls == [(n, _emit_led(n)) for n in scanned]
+    assert calls == scanned
     assert "max_len: 24\n" in capsys.readouterr().out
 
 
 def test_class_hit_ranks_match_the_brute_force_scan():
-    """The target-prefix walk against scan_length_class, ranks mapped to bits
-    by position in the class's product order; every target of <= 6 bits."""
+    """The target-prefix walk against the whole class's brute force, ranks
+    mapped to bits by position in the class's product order; every target
+    of <= 6 bits."""
     for n in range(1, 9):
         programs = ["".join(body) + "11" for body in product(("00", "01", "10"), repeat=n - 1)]
         if n <= 5:
             assert [_core_py.rank_bits(n, r) for r in range(len(programs))] == programs
         for size in range(7):
             for target in map("".join, product("01", repeat=size)):
-                brute = _core_py.scan_length_class(n, target)
-                assert _shared_scan(n, target) == brute, (n, target)
+                brute = _shared_scan(n, target, full=True)
                 ranks = _core_py.class_hit_ranks(n, target)
                 assert [programs[r] for r in ranks] == brute, (n, target)
                 for hit in ranks:
@@ -501,6 +533,9 @@ def test_the_kernel_takes_no_output_cap():
         _core_py.class_hit_ranks(3, "0", 64)
     with pytest.raises(TypeError):
         _core_py.scan_length_class(3, "0", 64)
+    # The scan takes no stop: its block of ranks follows from the target.
+    with pytest.raises(TypeError):
+        _core_py.scan_length_class(3, "0", stop=2)
 
 
 def test_class_size_is_the_class_counted_up_to_the_cap():
