@@ -8,11 +8,12 @@ runs exactly n steps and the step cap bounds the opcode count;
 check_step_cap is the one place that checks it.
 reachcalc.machine and reachcalc.search call these directly.  Programs
 arriving here are validated (even, terminal HALT only).  The length-class
-scan runs only the programs led by the emit of the target's first bit, one
-third of the class; reachcalc.machine takes the DOUBLE-led hits from the
-class below.  The kernel also owns each target's prefix table, built once
-per target: its shortest class bounds both the enumeration scans and the
-walk.
+scan runs only the programs led by the emit of the target's first bit and
+ending, before HALT, in the emit of its last bit or, for a square target
+ww, in a DOUBLE: one ninth of the class, two ninths for a square;
+reachcalc.machine takes the DOUBLE-led hits from the class below.  The
+kernel also owns each target's prefix table, built once per target: its
+shortest class bounds both the enumeration scans and the walk.
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -65,16 +66,26 @@ def scan_length_class(n_opcodes: int, target: str) -> list[str]:
 
     A program's first emitted bit is its output's first bit, so for
     n_opcodes >= 2 and a non-empty target only the programs led by the emit
-    of target[0] are run, a third of the class and one block of ranks.  In
-    every other case no emit-led program prints the target.  Every candidate
-    runs at the target's width: the output only grows, so a program stopped
-    for outgrowing the target could never have printed it.  The enumeration
-    budget keeps n_opcodes far below DEFAULT_MAX_STEPS.
+    of target[0] can hit; in every other case no emit-led program prints the
+    target.  The last opcode before HALT finishes the output: an emit must
+    append target[-1], and a DOUBLE prints ww, so it can hit only when the
+    target is a square ww.  So class n >= 3 runs 3**(n - 3) candidates,
+    twice that for a square; the ending is the last rank digit, so running
+    it innermost keeps rank order.  Every candidate runs at the target's
+    width: the output only grows, so a program stopped for outgrowing the
+    target could never have printed it.  The enumeration budget keeps
+    n_opcodes far below DEFAULT_MAX_STEPS.
     """
     if n_opcodes < 2 or not target:
         return [HALT] if n_opcodes == 1 and not target else []
     lead, width = _OPCODES[target[0] == "1"], len(target)
-    candidates = (lead + "".join(body) + HALT for body in product(_OPCODES, repeat=n_opcodes - 2))
+    if n_opcodes == 2:
+        return [lead + HALT] if width == 1 else []  # it prints target[0]
+    ends = [_OPCODES[target[-1] == "1"] + HALT]
+    if target[: width // 2] * 2 == target:
+        ends.append(DOUBLE + HALT)
+    candidates = (lead + "".join(body) + end
+                  for body in product(_OPCODES, repeat=n_opcodes - 3) for end in ends)
     return [bits for bits in candidates if run_bits(bits, width) == target]
 
 

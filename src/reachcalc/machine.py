@@ -19,9 +19,11 @@ owns the encoding above and the length class: its size, rank order and step
 cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
 Enumeration builds each class by one rule: its emit-led hits, then DOUBLE +
 each hit of the class below, since a DOUBLE on the empty output is a no-op.
-A program's first emitted bit is its output's first bit, so only the
-programs led by the emit of rho's first bit are scanned, one third of the
-class, and only in the classes from the shortest one, which the kernel's
+A program's first emitted bit is its output's first bit, and its last
+opcode before HALT emits rho's last bit or, for a square rho = ww, doubles
+w.  So only the programs led by the emit of rho's first bit and ending in
+such an opcode are scanned, one ninth of the class (two ninths for a
+square), and only in the classes from the shortest one, which the kernel's
 prefix table gives, up to len(rho) + 1; past that class no emit-led program
 hits.
 
@@ -219,13 +221,16 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     Class n's hits are its emit-led hits, then DOUBLE + each hit of class
     n - 1.  A DOUBLE on the empty output is a no-op, and DOUBLE, the highest
     rank digit, ranks after every emit and keeps rank order.  The kernel's
-    scan_length_class gives the emit-led hits: for n >= 2 it runs only the
-    programs led by the emit of target[0], one block of 3**(n - 2) ranks,
-    since the first emitted bit is the output's first bit; for n = 1, the
-    lone HALT.  It is called only in the classes from the shortest one up to
-    len(target) + 1.  Every class below the shortest is empty, and an
-    emit-led program of n >= len(target) + 2 opcodes prints at least n - 1
-    bits, since every later opcode but HALT adds a bit, so it misses.
+    scan_length_class gives the emit-led hits: for n >= 3 it runs only the
+    programs led by the emit of target[0], since the first emitted bit is
+    the output's first bit, and ending before HALT in the emit of
+    target[-1] or, for a square target ww, a DOUBLE: 3**(n - 3) programs,
+    twice that for a square; for n = 2, emit(target[0]) + HALT when the
+    target is one bit; for n = 1, the lone HALT.  It is called only in the
+    classes from the shortest one up to len(target) + 1.  Every class
+    below the shortest is empty, and an emit-led program of n >=
+    len(target) + 2 opcodes prints at least n - 1 bits, since every later
+    opcode but HALT adds a bit, so it misses.
     """
     _check_even_length("max_len", max_len, 0)
     if max_len >= DEFAULT_ENUM_BUDGET.bit_length():  # i.e. 2**max_len > DEFAULT_ENUM_BUDGET

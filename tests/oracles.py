@@ -110,6 +110,29 @@ def oracle_solutions(max_len: int) -> dict[str, list[str]]:
     return table
 
 
+def oracle_class_counts(target: str, max_opcodes: int) -> list[int]:
+    """counts[n]: how many programs of n opcodes (HALT included) print
+    target, for n = 0..max_opcodes, counted without running any.
+
+    A forward count over (opcodes run, output length): the output of a
+    program that prints target is target[:s] after every opcode, as it
+    never shrinks.  From s, emitting target[s] reaches s + 1, and a double
+    reaches 2s when target[:s] twice is target[:2s] (at s = 0 it stays put).
+    """
+    ways = {0: 1}  # output length -> programs of the opcodes so far reaching it
+    counts = [0]
+    for _ in range(max_opcodes):
+        counts.append(ways.get(len(target), 0))  # then HALT
+        step: dict[int, int] = {}
+        for s, count in ways.items():
+            if s < len(target):
+                step[s + 1] = step.get(s + 1, 0) + count
+            if target[:s] * 2 == target[: 2 * s]:
+                step[2 * s] = step.get(2 * s, 0) + count
+        ways = step
+    return counts
+
+
 
 def _class_programs(n_opcodes: int):
     """Every program of n_opcodes opcodes, in lexicographic bit order."""

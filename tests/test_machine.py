@@ -450,11 +450,41 @@ def test_scan_length_class_is_the_brute_force_on_its_emit_block():
             assert _core_py.scan_length_class(n, target) == _shared_scan(n, target), (n, target)
 
 
+def _is_square(target):
+    """Whether target is ww for some non-empty w."""
+    half = target[: len(target) // 2]
+    return bool(target) and half + half == target
+
+
+def test_the_last_opcode_before_halt_finishes_the_target():
+    """The identity behind the scan's last-opcode cut, on the brute force of
+    the whole emit(target[0]) block: no hit ends in the emit of the other
+    bit, none ends in a DOUBLE unless the target is a square ww, and for ww
+    the DOUBLE-ended hits are h[:-2] + DOUBLE + HALT for the emit-led hits h
+    of the class below that print w.  Every target of <= 6 bits, n = 3..9."""
+    for target in _targets(6):
+        if not target:
+            continue
+        other = _core_py._OPCODES[target[-1] == "0"]
+        for n in range(3, 10):
+            hits = _shared_scan(n, target)
+            assert not [bits for bits in hits if bits[-4:-2] == other], (target, n)
+            doubled = [bits for bits in hits if bits[-4:-2] == _core_py.DOUBLE]
+            if _is_square(target):
+                half = _shared_scan(n - 1, target[: len(target) // 2])
+                assert doubled == [h[:-2] + _core_py.DOUBLE + _core_py.HALT for h in half], (
+                    target, n)
+            else:
+                assert doubled == [], (target, n)
+
+
 @pytest.mark.parametrize("n_opcodes", range(1, 9))
 def test_scan_length_class_runs_only_its_emit_block(n_opcodes, monkeypatch):
-    """The scan's cost: 3**(n - 2) candidates, each led by the emit of
-    target[0], for n >= 2 and a non-empty target; none for an empty target
-    or the one-opcode class."""
+    """The scan's cost: for n >= 3 and a non-empty target, 3**(n - 3)
+    candidates, twice that for a square target; each is led by the emit of
+    target[0] and ends before HALT in the emit of target[-1], or in a DOUBLE
+    only for a square.  At most one candidate for n = 2, and none for an
+    empty target or the one-opcode class."""
     ran = []
     run_bits = _core_py.run_bits
 
@@ -463,12 +493,35 @@ def test_scan_length_class_runs_only_its_emit_block(n_opcodes, monkeypatch):
         return run_bits(bits, width)
 
     monkeypatch.setattr(_core_py, "run_bits", spy)
-    for target in ("", "0", "1", "0110", "1" * 9):
+    for target in ("", "0", "1", "0110", "0101", "1" * 8, "1" * 9):
         ran.clear()
         _core_py.scan_length_class(n_opcodes, target)
-        expected = 3 ** (n_opcodes - 2) if n_opcodes >= 2 and target else 0
-        assert len(ran) == expected, (n_opcodes, target)
-        assert {bits[:2] for bits in ran} <= {_core_py._OPCODES[target[:1] == "1"]}
+        if not target or n_opcodes < 2:
+            assert ran == [], (n_opcodes, target)
+            continue
+        assert {bits[:2] for bits in ran} <= {_core_py._OPCODES[target[0] == "1"]}
+        if n_opcodes == 2:
+            assert len(ran) <= 1, target
+            continue
+        square = _is_square(target)
+        assert len(ran) == 3 ** (n_opcodes - 3) * (1 + square), (n_opcodes, target)
+        ends = {_core_py._OPCODES[target[-1] == "1"]} | ({_core_py.DOUBLE} if square else set())
+        assert {bits[-4:-2] for bits in ran} <= ends, (n_opcodes, target)
+
+
+@pytest.mark.parametrize("targets, max_len", [
+    (_targets(8), 20),
+    (["0" * 16, "1" * 16, "01" * 8, "0100" * 4, "0010" * 4, "1110" * 4], 24),
+])
+def test_class_sizes_match_the_forward_count_oracle(targets, max_len):
+    """Each class of enumerate_solutions has the size that the oracle's
+    forward count over (opcodes, prefix length) gives, built from the
+    target alone."""
+    for target in targets:
+        counts = oracles.oracle_class_counts(target, max_len // 2)
+        expected = [(n, count) for n, count in enumerate(counts) if count]
+        got = [(n, len(hits)) for n, hits in enumerate_solutions(target, max_len).classes]
+        assert got == expected, target
 
 
 @pytest.mark.parametrize("target, scanned", [
