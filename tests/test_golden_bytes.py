@@ -14,8 +14,11 @@ from the class below; the tree after that change gives the same digest.
 the exact value, so its bytes are pinned too, by REPORT_DIGEST, first
 recorded on the tree before `solve` and `report` built their rows once per
 length class.
-`lambertw`, `reach` and `loss` are left out; test_output_layout.py pins
-their layout.
+`loss --convexity-grid` prints one fixed certificate, so its stdout is
+pinned byte for byte in each format, by CONVEXITY_GRID, recorded on the tree
+before the certificate evaluated f once per grid point.  The other `lambertw`,
+`reach` and `loss` calls are left out; test_output_layout.py pins their
+layout.
 """
 
 import hashlib
@@ -44,6 +47,14 @@ LONG_SOLVES = (("0101" * 3, 18), ("0101" * 3, 20), ("0110" * 4, 18), ("0110" * 4
                ("0001000110010100", 24), ("110101001001", 24), ("101110001010000", 24),
                ("000110001010000", 24))
 BRANCHES = ("lower", "principal")
+CONVEXITY_GRID = {
+    "table": "convex: true\nmin_second_difference: 1.67487995945e-07\npoints: 1035\n"
+             "lo: -0.366879441171\nhi: 10\nstep: 0.01\n",
+    "records": "convex=true min_second_difference=1.67487995945e-07 points=1035 "
+               "lo=-0.366879441171 hi=10 step=0.01\n",
+    "csv": "convex,min_second_difference,points,lo,hi,step\n"
+           "true,1.67487995945e-07,1035,-0.366879441171,10,0.01\n",
+}
 
 
 def invocations() -> list[list[str]]:
@@ -136,3 +147,8 @@ def test_report_invocation_set_covers_the_contract():
 
 def test_report_bytes_match_the_recorded_digest():
     assert digest(report_invocations()) == REPORT_DIGEST
+
+
+def test_convexity_grid_bytes_match_the_recorded_output():
+    for fmt in FORMATS:
+        assert run(["loss", "--convexity-grid", "--format", fmt]) == (0, CONVEXITY_GRID[fmt], "")

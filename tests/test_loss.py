@@ -313,7 +313,6 @@ def test_convexity_certificate_takes_no_grid():
 
 
 def test_convexity_certificate_evaluates_f_once_per_grid_point(monkeypatch):
-    want = convexity_certificate()
     calls = []
 
     def counted(z):
@@ -321,7 +320,40 @@ def test_convexity_certificate_evaluates_f_once_per_grid_point(monkeypatch):
         return f_exp_negw(z)
 
     monkeypatch.setattr(loss, "f_exp_negw", counted)
+    cert = convexity_certificate()
+    assert (cert.ok, cert.min_second_difference, cert.points) == (True, 1.6748799594457076e-07,
+                                                                  1035)
+    # One call at each of the 1,037 grid points, the 1,035 interior ones and
+    # both ends, in order and never twice at one abscissa.
+    assert len(calls) == 1037
+    assert len(set(calls)) == 1037
+    assert calls == sorted(calls)
+    assert calls[0] == cert.lo
+
+
+def _fresh_certificate() -> tuple[loss.ConvexityCertificate, int]:
+    """The certificate with f evaluated afresh at x - step, x and x + step at
+    every interior point x, the grid accumulated as in loss.py, and the
+    number of points where f(x - step) is not f at the previous grid point."""
+    lo, hi, step = loss._LO, loss._HI, loss._STEP
+    worst = math.inf
+    points = split = 0
+    prev, x = lo, lo + step
+    while x + step <= hi + step * 1e-9:
+        f_left = f_exp_negw(x - step)
+        split += f_left != f_exp_negw(prev)
+        worst = min(worst, f_left - 2.0 * f_exp_negw(x) + f_exp_negw(x + step))
+        points += 1
+        prev, x = x, x + step
+    return loss.ConvexityCertificate(worst >= -1e-8, worst, points, lo, hi, step), split
+
+
+def test_convexity_certificate_matches_fresh_central_differences():
+    # The window reads f at the previous grid point where this reads it at
+    # x - step.  At one interior point (index 86, x = 0.5031...) the two
+    # abscissae differ by one ulp, and f gives the same double at both; a
+    # change to f that split them at any point would show here, even where
+    # the least difference does not move.
+    want, split = _fresh_certificate()
+    assert split == 0
     assert convexity_certificate() == want
-    # f(x - step) and f(x + step) at each of the 1,035 points, plus f(x) at
-    # the first: every later f(x) is the previous point's f(x + step).
-    assert len(calls) == 2 * 1035 + 1
