@@ -7,22 +7,23 @@ or budget error, 3 usage error.  Each warning a command raises is written
 to stderr as one ``warning: <message>`` line.
 
 Every command prints through ``_write``, except the rows of ``solve`` and
-``report``, which ``_write_classes`` writes in the same shapes: rows of one
-class share every column but ``program``, so each class's columns are
-formatted once.  A table shows ``name: value`` lines, then rows as aligned
-columns (``report`` puts a title line first).  Records and csv show the
-rows, or a scalar result as one row.  ``search
---format table`` prints only the summary; a ``solve`` with no solution
-prints its header in a table and nothing in records or csv.  An argument
-the command would ignore is a usage error, like a target given both inline
-and by --input: ``lambertw X`` or ``reach --variation``/``--energy``/``--temp``
-with ``--curve``, ``loss Z_HAT Z`` with ``--convexity-grid``, ``search
---start-length`` with the reachability-greedy policy, ``search --max-len``
-with the other two and ``search --budget-energy`` or ``--temp`` with any
-policy but size-descending, the only one that charges energy.  So ``--temp``,
-``--max-len`` and ``--budget-energy`` default to None in the parser, and
-``_given_or_default`` applies the documented default where the value is
-used.
+``report``, which go straight to ``formats.classes_text`` one length class at
+a time: rows of one class share every column but ``program``, so each class's
+columns are formatted once.  ``_write``'s row writers lay out their rows
+through the same function, so every format has one layout.  A table shows
+``name: value`` lines, then rows as aligned columns (``report`` puts a title
+line first).  Records and csv show the rows, or a scalar result as one row.
+``search --format table`` prints only the summary; a ``solve`` with no
+solution prints its header in a table and nothing in records or csv.  An
+argument the command would ignore is a usage error, like a target given both
+inline and by --input: ``lambertw X`` or ``reach
+--variation``/``--energy``/``--temp`` with ``--curve``, ``loss Z_HAT Z`` with
+``--convexity-grid``, ``search --start-length`` with the reachability-greedy
+policy, ``search --max-len`` with the other two and ``search --budget-energy``
+or ``--temp`` with any policy but size-descending, the only one that charges
+energy.  So ``--temp``, ``--max-len`` and ``--budget-energy`` default to None
+in the parser, and ``_given_or_default`` applies the documented default where
+the value is used.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on the
 first call and shared by every later in-process call; ``build_parser`` itself
@@ -46,6 +47,7 @@ from .formats import (
     REPORT_KEYS,
     SOLUTION_KEYS,
     TRACE_KEYS,
+    classes_text,
     csv_text,
     format_value,
     read_program_text,
@@ -86,8 +88,9 @@ class _Parser(argparse.ArgumentParser):
 def _write(fmt: str, fields=(), keys: tuple[str, ...] = (), rows=None) -> None:
     """Print fields and rows in fmt by the rule of the module docstring; the
     fields make the one row when rows is None, and an empty row list prints
-    nothing.  The text functions are looked up at call time, where
-    reachbench/layers.py wraps them."""
+    nothing.  records_text, csv_text and table_text are looked up here at
+    call time, where reachbench/layers.py wraps them; each hands its rows to
+    formats.classes_text as one-row classes."""
     if fmt == "table":
         for k, v in fields:
             sys.stdout.write(f"{k}: {format_value(v)}\n")
@@ -98,37 +101,6 @@ def _write(fmt: str, fields=(), keys: tuple[str, ...] = (), rows=None) -> None:
         rows, keys = [dict(fields)], tuple(k for k, _ in fields)
     if rows:
         sys.stdout.write((records_text if fmt == "records" else csv_text)(rows, keys))
-
-
-def _write_classes(fmt: str, keys: tuple[str, ...], classes) -> None:
-    """Print rows as _write prints them, given by class: each class is
-    (programs, row), and its row holds every column after the first,
-    "program", for all of its programs.  So a class's columns are formatted
-    once, and each line is a program plus that class's suffix.  An empty
-    class list prints nothing."""
-    if not classes:
-        return
-    cells = [(programs, [format_value(row[k]) for k in keys[1:]]) for programs, row in classes]
-    head, lead = "", ""
-    if fmt == "table":
-        widths = [max(len(k), *(len(c[i]) for _, c in cells)) for i, k in enumerate(keys[1:])]
-        width = max(len(keys[0]), *(len(programs[0]) for programs, _ in cells))
-        head = "  ".join(k.ljust(w) for k, w in zip(keys, (width, *widths))).rstrip() + "\n"
-        # Cells are never empty and hold no space, so rstrip drops only the
-        # last column's padding.
-        tails = [" " * (width - len(programs[0])) + "  "
-                 + "  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip()
-                 for programs, c in cells]
-    elif fmt == "records":
-        lead = f"{keys[0]}="
-        tails = ["".join(f" {k}={v}" for k, v in zip(keys[1:], c)) for _, c in cells]
-    else:  # csv; no cell holds a comma, quote or newline, so none is quoted
-        head = ",".join(keys) + "\n"
-        tails = ["," + ",".join(c) for _, c in cells]
-    sys.stdout.write(head + "".join(
-        lead + f"{tail}\n{lead}".join(programs) + tail + "\n"
-        for (programs, _), tail in zip(cells, tails)
-    ))
 
 
 def _given_or_default(args, name: str):
@@ -238,11 +210,12 @@ def _cmd_solve(args) -> int:
         ("witness", shortest[1][0] if shortest else "none"),
     ]
     _write(args.format, header, rows=[])  # only a table shows the header
-    _write_classes(args.format, SOLUTION_KEYS, [
-        (hits, {"length": 2 * n, "p": p})
-        for (n, hits), p in zip(solutions.classes,
-                                _class_weights(solutions.classes, solutions.scheme))
-    ])
+    if solutions.classes:
+        sys.stdout.write(classes_text(args.format, SOLUTION_KEYS, [
+            (hits, {"length": 2 * n, "p": p})
+            for (n, hits), p in zip(solutions.classes,
+                                    _class_weights(solutions.classes, solutions.scheme))
+        ]))
     return 0
 
 
@@ -258,11 +231,11 @@ def _cmd_report(args) -> int:
             f"T: {format_value(temp)} K\n"
         )
         keys += ("normalized",)
-    _write_classes(args.format, keys, [
+    sys.stdout.write(classes_text(args.format, keys, [
         (hits, {"length": len(hits[0]), "p": p, "variation": h, "reachability": reach,
                 "energy": energy, "normalized": normalized})
         for hits, p, h, reach, energy, normalized in classes
-    ])
+    ]))
     return 0
 
 

@@ -3,11 +3,15 @@
 Everything here is deliberately written from the defining equations with
 the dumbest dependable numerics available (bisection, exhaustive string
 enumeration), sharing no code with the package.  Slow is fine; wrong is
-not.
+not.  The text writers at the end lay out records, csv and table one row
+at a time, csv by the standard csv writer, as the reference for the
+package's class-at-a-time writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import islice, product
 
@@ -238,3 +242,35 @@ def oracle_search(
         "energy_charged": unit * state["bits_reduced"],
         "budget_exhausted": state["exhausted"],
     }
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def oracle_records_text(rows, keys: tuple[str, ...]) -> str:
+    """One `key=value` line per row."""
+    return "".join(" ".join(f"{k}={_cell(row[k])}" for k in keys) + "\n" for row in rows)
+
+
+def oracle_csv_text(rows, keys: tuple[str, ...]) -> str:
+    """A header line, then one line per row, by the standard csv writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([_cell(row[k]) for k in keys])
+    return buf.getvalue()
+
+
+def oracle_table_text(rows, keys: tuple[str, ...]) -> str:
+    """A header line, then one line per row, each column padded to its widest
+    cell, with the padding after the last column dropped."""
+    cells = [[_cell(row[k]) for k in keys] for row in rows]
+    widths = [max([len(k), *(len(c[i]) for c in cells)]) for i, k in enumerate(keys)]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() + "\n"
+                   for line in [list(keys), *cells])

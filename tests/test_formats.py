@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from reachcalc.errors import DomainError
 from reachcalc.formats import (
     REPORT_KEYS,
     SOLUTION_KEYS,
     TRACE_KEYS,
+    classes_text,
     csv_text,
     format_value,
     parse_csv,
@@ -61,6 +63,12 @@ def test_table_shape():
     assert lines[1][col] == "4"
     assert lines[2][col] == "6"
     assert not any(line != line.rstrip() for line in lines)
+
+
+def test_empty_rows_print_the_header_line_only():
+    assert csv_text([], SOLUTION_KEYS) == "program,length,p\n"
+    assert table_text([], SOLUTION_KEYS) == "program  length  p\n"
+    assert csv_text(iter(()), TRACE_KEYS) == "program,length,outcome\n"
 
 
 def test_records_roundtrip_pinned():
@@ -155,3 +163,35 @@ def test_read_program_text_error_marks_only_a_cut():
     with pytest.raises(DomainError) as exact:
         read_program_text("2" * 40)
     assert str(exact.value).endswith(f"got {'2' * 40!r}")
+
+
+FORMATS = ("table", "records", "csv")
+REFERENCES = {"table": oracles.oracle_table_text, "records": oracles.oracle_records_text,
+              "csv": oracles.oracle_csv_text}
+WRITERS = {"table": table_text, "records": records_text, "csv": csv_text}
+
+
+@st.composite
+def classes_strategy(draw):
+    """(keys, classes): 0-5 classes of 1-4 programs, each of 1-16 bits drawn
+    on its own, so a class's programs can differ in width, and each class
+    with one drawn value per column after the first."""
+    keys = draw(st.sampled_from((REPORT_KEYS, SOLUTION_KEYS, TRACE_KEYS)))
+    program = st.text(alphabet="01", min_size=1, max_size=16)
+    row = st.fixed_dictionaries({k: value_strategy for k in keys[1:]})
+    classes = draw(st.lists(
+        st.tuples(st.lists(program, min_size=1, max_size=4).map(tuple), row), max_size=5))
+    return keys, classes
+
+
+@given(classes_strategy())
+def test_class_writer_matches_the_row_by_row_reference(drawn):
+    """classes_text prints each class as its programs' rows, in every format,
+    byte for byte as the row-by-row reference prints the expanded rows; the
+    three per-row writers print those rows as the reference does."""
+    keys, classes = drawn
+    rows = [{keys[0]: p, **row} for programs, row in classes for p in programs]
+    for fmt in FORMATS:
+        expected = REFERENCES[fmt](rows, keys)
+        assert classes_text(fmt, keys, classes) == expected, fmt
+        assert WRITERS[fmt](rows, keys) == expected, fmt

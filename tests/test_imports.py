@@ -9,6 +9,7 @@ is most of a one-shot command's cost.
 """
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -58,9 +59,14 @@ def test_every_import_is_used_or_exported(path):
 #: Standard modules the CLI must not load: dataclasses pulls in inspect and
 #: ast, and typing is avoidable on Python 3.10+.
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "typing"}
+#: Standard modules no command needs: only formats.parse_csv reads csv, and
+#: it imports csv itself; every writer lays out csv without it.
+PARSER_ONLY_MODULES = {"csv"}
 
 
-def test_cli_import_loads_every_package_module_and_no_heavy_one():
+@functools.cache
+def _cli_modules() -> frozenset[str]:
+    """The modules a fresh interpreter holds after `import reachcalc.cli`."""
     # -S skips site, which on some hosts preloads typing for its own .pth files.
     code = (
         "import sys\n"
@@ -70,8 +76,17 @@ def test_cli_import_loads_every_package_module_and_no_heavy_one():
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
-    loaded = set(done.stdout.split())
+    return frozenset(done.stdout.split())
+
+
+def test_cli_import_loads_every_package_module_and_no_heavy_one():
+    loaded = _cli_modules()
     heavy = loaded & HEAVY_MODULES
     assert not heavy, f"import reachcalc.cli loads {sorted(heavy)}"
     package = {f"reachcalc.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
     assert package <= loaded, sorted(package - loaded)
+
+
+def test_cli_import_loads_no_csv():
+    parser_only = _cli_modules() & PARSER_ONLY_MODULES
+    assert not parser_only, f"import reachcalc.cli loads {sorted(parser_only)}"
