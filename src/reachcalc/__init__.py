@@ -45,7 +45,6 @@ from .loss import (
     matching_loss,
 )
 from .machine import (
-    CORE_BACKEND,
     ComplexityBound,
     Problem,
     Program,
@@ -69,7 +68,6 @@ __all__ = [
     "BOLTZMANN_K",
     "BRANCH_POINT",
     "VARIATION_MAX",
-    "CORE_BACKEND",
     "BranchChoice",
     "WEvaluation",
     "eval_w",

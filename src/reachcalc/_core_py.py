@@ -2,10 +2,12 @@
 length-class scan, the target's prefix table and the target-prefix walk.
 
 This module owns the encoding (the opcode table _OPCODES, DOUBLE, HALT, the
-rank order) and the length class: its size, its rank order and the step cap
-DEFAULT_MAX_STEPS.  The machine is straight-line, so a program of n opcodes
-runs exactly n steps and the step cap bounds the opcode count;
-check_step_cap is the one place that checks it.
+rank order) and the length class: its size and its rank order.  The machine
+is straight-line, so a program of n opcodes runs exactly n steps: every
+limit of the kernel follows from its input, the target's width and a
+class's opcode count.  Only search caps the classes it scans, at
+DEFAULT_MAX_STEPS opcodes through check_step_cap, since nothing else bounds
+the length of the programs a search trace lists.
 reachcalc.machine and reachcalc.search call these directly.  Programs
 arriving here are validated (even, terminal HALT only).  The length-class
 scan runs only the programs led by the emit of the target's first bit and
@@ -34,21 +36,20 @@ HALT = "11"
 DEFAULT_MAX_STEPS = 10_000
 
 
-def check_step_cap(n_opcodes: int, program: str | None = None) -> None:
+def check_step_cap(n_opcodes: int) -> None:
     """Raise ResourceExceeded if programs of n_opcodes opcodes run more than
-    DEFAULT_MAX_STEPS steps; the message names the program when it is given,
-    else its whole length class."""
+    DEFAULT_MAX_STEPS steps, naming their whole length class."""
     if n_opcodes > DEFAULT_MAX_STEPS:
-        culprit = f"every program of {2 * n_opcodes} bits" if program is None else repr(program)
-        raise ResourceExceeded(f"step cap {DEFAULT_MAX_STEPS} breached by {culprit}")
+        raise ResourceExceeded(
+            f"step cap {DEFAULT_MAX_STEPS} breached by every program of {2 * n_opcodes} bits")
 
 
 def run_bits(bits: str, width: int) -> str | None:
     """The output of a validated program, or None once it outgrows width bits.
 
     It runs the opcodes before the final HALT in order and counts no steps:
-    a program's step count is its opcode count, which callers check against
-    DEFAULT_MAX_STEPS beforehand with check_step_cap.
+    a program's step count is its opcode count, so only the output can run
+    away, through DOUBLE, and width bounds it.
     """
     out = ""
     for i in range(0, len(bits) - 2, 2):
@@ -73,8 +74,7 @@ def scan_length_class(n_opcodes: int, target: str) -> list[str]:
     twice that for a square; the ending is the last rank digit, so running
     it innermost keeps rank order.  Every candidate runs at the target's
     width: the output only grows, so a program stopped for outgrowing the
-    target could never have printed it.  The enumeration budget keeps
-    n_opcodes far below DEFAULT_MAX_STEPS.
+    target could never have printed it.
     """
     if n_opcodes < 2 or not target:
         return [HALT] if n_opcodes == 1 and not target else []
@@ -151,8 +151,7 @@ def shortest_class(target: str) -> int:
 
 def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> list[int]:
     """Ascending ranks of the programs of n_opcodes opcodes that print
-    `target`, only those below `stop` when it is given.  A class past the
-    step cap raises ResourceExceeded.
+    `target`, only those below `stop` when it is given.
 
     The output only grows, so a program hits only if its output stays a
     prefix of the target at every step.  The walk tracks the prefix length
@@ -160,20 +159,24 @@ def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> 
     class costs its hits, not its 3**(n_opcodes - 1) candidates.  It reads
     the doubles from the target's prefix table and drops every node with
     fewer opcodes left than its state needs, so a class with no hit costs
-    one node.
+    one node.  A node's subtree is tested against stop without forming a
+    power larger than stop, as class_size does: 3**left > stop once left
+    reaches stop's bit length, so the subtree lies past stop exactly when
+    rank * stop >= stop.
     """
     size = len(target)
-    check_step_cap(n_opcodes)
     if n_opcodes < 1:
         return []
     doubles, fewest = _prefix_table(target)
+    far = None if stop is None else stop.bit_length()
     hits: list[int] = []
     # (prefix length, rank of the opcodes taken, free opcodes left); a node's
     # subtree holds the ranks rank * 3**left up to the next multiple.
     stack = [(0, 0, n_opcodes - 1)]
     while stack:
         state, rank, left = stack.pop()
-        if stop is not None and rank * 3**left >= stop:
+        # class_size(left + 1, stop) inline: a call per node doubles the walk's time.
+        if stop is not None and rank * (stop if left >= far else 3**left) >= stop:
             break  # every node still on the stack lies above this one
         if left < fewest[state]:
             continue  # too short to reach the target

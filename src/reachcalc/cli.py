@@ -57,7 +57,6 @@ from .formats import (
 from .lambertw import BranchChoice, eval_w, w_curve
 from .loss import convexity_certificate, matching_loss
 from .machine import (
-    CORE_BACKEND,
     DEFAULT_MAX_LEN,
     Scheme,
     _class_weights,
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"reachcalc {__version__} (core: {CORE_BACKEND})",
+        version=f"reachcalc {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser._commands = sub.choices  # name -> command parser, read by main

@@ -11,12 +11,13 @@ A valid program has even length >= 2 and contains HALT exactly once, as its
 final opcode.  That terminal-HALT rule makes the valid set prefix-free: any
 proper prefix ends in a non-HALT opcode and is therefore itself invalid.
 
-A "problem" is a target bit string rho; the solution set of rho is every
-valid program up to a length cap whose output equals rho.  Enumeration goes
-by length class, lexicographic within a class.  Programs run, and length
-classes are scanned, on the pure-Python kernel in reachcalc._core_py.  It
-owns the encoding above and the length class: its size, rank order and step
-cap DEFAULT_MAX_STEPS (re-exported here).  CORE_BACKEND names it for --version.
+A "problem" is a target bit string rho of any length; the solution set of
+rho is every valid program up to a length cap whose output equals rho.
+Enumeration goes by length class, lexicographic within a class.  Programs
+run, and length classes are scanned, on the pure-Python kernel in
+reachcalc._core_py.  It owns the encoding above and the length class: its
+size and rank order.  Its DEFAULT_MAX_STEPS, re-exported here, caps only the
+classes a search scans.
 Enumeration builds each class by one rule: its emit-led hits, then DOUBLE +
 each hit of the class below, since a DOUBLE on the empty output is a no-op.
 A program's first emitted bit is its output's first bit, and its last
@@ -28,13 +29,13 @@ prefix table gives, up to len(rho) + 1; past that class no emit-led program
 hits.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
-and its output never shrinks.  So the step cap is a bound on the opcode
-count, which run checks before it runs a program; run also takes an output
-cap.  Enumeration and search run programs at the target's width, so a
-candidate stops as soon as its output outgrows the target, and they count
-as solutions only programs run accepts.  The gate 2^max_len <=
-DEFAULT_ENUM_BUDGET belongs to enumeration and the reports built on it;
-kolmogorov_upper enumerates nothing and takes K(rho) from the prefix table.
+and its output never shrinks.  So a program's step count is its own length,
+and run caps only the output, the one thing DOUBLE can blow up.  Enumeration
+and search run programs at the target's width, so a candidate stops as soon
+as its output outgrows the target, and they count as solutions only programs
+run accepts.  The gate 2^max_len <= DEFAULT_ENUM_BUDGET belongs to
+enumeration and the reports built on it; kolmogorov_upper enumerates nothing
+and takes K(rho) from the prefix table, for a target of any length.
 """
 
 from __future__ import annotations
@@ -60,11 +61,12 @@ from .errors import (
 from .lambertw import BranchChoice
 from .reachability import ReachabilityRecord, reach_from_variation
 
+# Kept only for the benchmark: reachbench/run.py records CORE_BACKEND with
+# each result, and reachbench/layers.py reads _core (no compiled kernel).
 CORE_BACKEND = "pure"
-_core = None  # no compiled kernel; reachbench/layers.py reads this name
+_core = None
 
 __all__ = [
-    "CORE_BACKEND",
     "DEFAULT_MAX_LEN",
     "DEFAULT_ENUM_BUDGET",
     "DEFAULT_MAX_STEPS",
@@ -130,18 +132,16 @@ class Program(Record):
 
 
 class Problem(Record):
-    """A target output string rho, at most max_bits long.
+    """A target output string rho: any bit string, of any length.
 
-    max_bits bounds the target only: enumeration and search run candidates
-    at the target's own width, len(target).
+    Enumeration and search run candidates at the target's own width,
+    len(target).
     """
 
-    def __init__(self, target: str, max_bits: int = DEFAULT_MAX_OUTPUT_BITS):
+    def __init__(self, target: str):
         if set(target) - {"0", "1"}:
             raise DomainError(f"target must be over {{0,1}}, got {target!r}")
-        if len(target) > max_bits:
-            raise DomainError(f"target of {len(target)} bits exceeds the {max_bits}-bit maximum")
-        self.__dict__.update(target=target, max_bits=max_bits)
+        self.__dict__["target"] = target
 
     @property
     def length(self) -> int:
@@ -194,14 +194,14 @@ def _as_problem(rho: Problem | str) -> Problem:
 def run(program: Program | str, *, max_output_bits: int = DEFAULT_MAX_OUTPUT_BITS) -> str:
     """Execute a program and return its output bits.
 
+    A program runs one step per opcode, so its length bounds its run.
     Raises InvalidProgram for malformed bit strings, and ResourceExceeded
-    for a program of more than DEFAULT_MAX_STEPS opcodes (one step each)
-    or one whose output outgrows max_output_bits.
+    for a program whose output outgrows max_output_bits, the one guard
+    against DOUBLE's exponential growth.
     """
     prog = program if isinstance(program, Program) else Program(program)
     if max_output_bits < 1:
         raise DomainError(f"max_output_bits must be positive, got {max_output_bits!r}")
-    _core_py.check_step_cap(prog.opcode_count, prog.bits)
     out = _core_py.run_bits(prog.bits, max_output_bits)
     if out is None:
         raise ResourceExceeded(f"output cap {max_output_bits} bits breached by {prog.bits!r}")
@@ -268,20 +268,16 @@ def enumerate_solutions(
     return SolutionSet(problem, classes, scheme)
 
 
-def kolmogorov_upper(rho: Problem | str, max_len: int = DEFAULT_MAX_LEN) -> ComplexityBound | None:
-    """Length of the shortest solution of rho, with witness; None when that
-    length exceeds max_len.
+def kolmogorov_upper(rho: Problem | str) -> ComplexityBound:
+    """Length of the shortest solution of rho, with witness.
 
     The length is K(rho) on this machine, twice the shortest class that the
-    kernel's prefix table gives, so nothing is enumerated and max_len only
-    caps the answer.  Ties go to the lexicographically smallest program,
-    the first hit of the target-prefix walk in that class.
+    kernel's prefix table gives, so nothing is enumerated and every target
+    has an answer.  Ties go to the lexicographically smallest program, the
+    first hit of the target-prefix walk in that class.
     """
     target = _as_problem(rho).target
-    _check_even_length("max_len", max_len, 0)
     n_opcodes = _core_py.shortest_class(target)
-    if 2 * n_opcodes > max_len:
-        return None
     first = _core_py.class_hit_ranks(n_opcodes, target)[0]
     return ComplexityBound(2 * n_opcodes, Program(_core_py.rank_bits(n_opcodes, first)))
 

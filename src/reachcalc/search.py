@@ -123,9 +123,12 @@ class _Session:
         end of the class; in both cases at the end of the program budget,
         which then counts as exhausted if the class had programs left.  The
         hits come from the target-prefix walk; the misses are only counted.
-        A class whose programs run past the step cap raises ResourceExceeded.
+        A class whose programs run past the step cap raises ResourceExceeded
+        before any of them is counted: the budget bounds how many rows a
+        trace lists, and the cap is the only bound on how long each is.
         """
         n_opcodes = size // 2
+        _core_py.check_step_cap(n_opcodes)
         left = self.budget.programs - self.programs_run
         end = _core_py.class_size(n_opcodes, left + 1)  # end > left: the class outlasts the budget
         count = min(end, left)
@@ -204,8 +207,9 @@ def demiurge_search(
     SizeDescending begins its descent; the default is the literal program's
     class, 2*l(rho) + 2.  Programs run at the target's width, len(rho).
     The trace is returned whether or not a solution was found; exhausting
-    a budget is encoded there, not raised.  A start class past the step
-    cap, 2 * DEFAULT_MAX_STEPS bits, raises ResourceExceeded.
+    a budget is encoded there, not raised.  A class past the step cap,
+    2 * DEFAULT_MAX_STEPS bits, raises ResourceExceeded, so the default
+    start does for a target of more than DEFAULT_MAX_STEPS - 1 bits.
     """
     problem = _as_problem(rho)
     policy = _as_policy(policy)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from itertools import islice, product
 
 
@@ -136,6 +137,30 @@ def oracle_class_counts(target: str, max_opcodes: int) -> list[int]:
         ways = step
     return counts
 
+
+
+def oracle_complexity(target: str) -> int:
+    """K(target) in bits: the fewest opcodes from the empty output to target,
+    plus HALT, two bits each, by breadth-first search over output lengths.
+
+    A program that prints target has output target[:s] after every opcode,
+    as the output never shrinks.  From s, an emit reaches s + 1, and a double
+    reaches 2s when target[:s] twice is target[:2s]; at s = 0 it is a no-op,
+    which no shortest program takes.
+    """
+    size = len(target)
+    dist = {0: 0}
+    frontier = deque([0])
+    while size not in dist:
+        s = frontier.popleft()
+        moves = [s + 1]
+        if s and target[:s] * 2 == target[: 2 * s]:
+            moves.append(2 * s)
+        for t in moves:
+            if t <= size and t not in dist:
+                dist[t] = dist[s] + 1
+                frontier.append(t)
+    return 2 * (dist[size] + 1)
 
 
 def _class_programs(n_opcodes: int):

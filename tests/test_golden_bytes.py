@@ -19,34 +19,32 @@ pinned byte for byte in each format, by CONVEXITY_GRID, recorded on the tree
 before the certificate evaluated f once per grid point.  The other `lambertw`,
 `reach` and `loss` calls are left out; test_output_layout.py pins their
 layout.
+
+DIGEST was recorded again when targets of more than 64 bits became valid:
+its one changed call is `solve "0"*65`, which had been a DomainError and
+now prints the target's solutions of up to 24 bits.
+
+The call sets are built in corpus.py, which also holds the `lambertw`,
+`reach` and `loss` calls and calls on targets of 65-4,096 bits, and hashes
+each group when run as a script.  SUBSET_DIGEST pins its fixed stratified
+subset, recorded on the tree that first let targets exceed 64 bits.
 """
 
-import hashlib
-import io
-import json
-from contextlib import redirect_stderr, redirect_stdout
+from corpus import (
+    BRANCHES,
+    FORMATS,
+    POLICIES,
+    SCHEMES,
+    digest,
+    invocations,
+    report_invocations,
+    run,
+    subset,
+)
 
-from reachcalc import cli
-
-DIGEST = "9117ac64db2db5700428bf22385afb63027d327feea402fbb235f90201eff148"
+DIGEST = "2d81ef83bcacd185733f37e633bb4254eddbacb2be790347e9faff47d1f66074"
 REPORT_DIGEST = "38f602af3ea1d1b67f698e7d5f4a9837ffc29ea2e10f279e87122cd29b678258"
-
-TARGETS = ("", "0", "1", "01", "0000", "0101", "0110", "10110", "00000000",
-           "0" * 16, "0110100110010110")
-FORMATS = ("table", "records", "csv")
-POLICIES = ("exhaustive-by-size", "size-descending", "reachability-greedy")
-REPORT_TARGETS = ("", "0", "01", "0000", "0110", "10110")
-SCHEMES = ("lengthweighted", "uniform")
-# solve past 8 bits and 16 bits of program, where classes of more than 8
-# opcodes are built: doubling targets, then targets drawn once from
-# random.Random(28) at 12-16 bits, most with no solution of <= 24 bits.
-# Each max-len stays low enough that these calls take under 1 s in all.
-LONG_SOLVES = (("0101" * 3, 18), ("0101" * 3, 20), ("0110" * 4, 18), ("0110" * 4, 20),
-               ("01" * 8, 18), ("01" * 8, 20), ("01" * 8, 22),
-               ("000011000100", 18), ("000011000100", 20), ("101011010111100", 22),
-               ("0001000110010100", 24), ("110101001001", 24), ("101110001010000", 24),
-               ("000110001010000", 24))
-BRANCHES = ("lower", "principal")
+SUBSET_DIGEST = "19b55fdd7295e795d45120890aa4b3f892bd5dcd4ea93f65861e12f9ddbc8d01"
 CONVEXITY_GRID = {
     "table": "convex: true\nmin_second_difference: 1.67487995945e-07\npoints: 1035\n"
              "lo: -0.366879441171\nhi: 10\nstep: 0.01\n",
@@ -55,69 +53,6 @@ CONVEXITY_GRID = {
     "csv": "convex,min_second_difference,points,lo,hi,step\n"
            "true,1.67487995945e-07,1035,-0.366879441171,10,0.01\n",
 }
-
-
-def invocations() -> list[list[str]]:
-    calls = []
-    for i, target in enumerate(TARGETS):
-        for max_len in (0, 8, 12, 16):
-            for scheme in ("lengthweighted", "uniform"):
-                calls.append(["solve", target, "--max-len", str(max_len), "--scheme", scheme,
-                              "--format", FORMATS[(i + max_len // 4) % 3]])
-        for j, policy in enumerate(POLICIES):
-            # --max-len bounds only the greedy policy; the others refuse it.
-            max_len = ["--max-len", "16"] if policy == "reachability-greedy" else []
-            for budget in ("1", "3000"):
-                calls.append(["search", target, "--policy", policy, *max_len,
-                              "--budget-programs", budget, "--format", FORMATS[(i + j) % 3]])
-        calls.append(["search", target, "--policy", "size-descending", "--start-length", "16",
-                      "--budget-programs", "3000", "--format", FORMATS[i % 3]])
-    for i, (target, max_len) in enumerate(LONG_SOLVES):
-        calls.append(["solve", target, "--max-len", str(max_len), "--scheme", SCHEMES[i % 2],
-                      "--format", FORMATS[i % 3]])
-    calls += [
-        ["solve", "0", "--max-len", "26"],
-        ["solve", "0", "--max-len", "7"],
-        ["solve", "01a1"],
-        ["solve", "0" * 65],
-        ["search", "0", "--policy", "best-first"],
-        ["search", "0101", "--policy", "size-descending", "--budget-energy", "1e-23"],
-        ["search", "0", "--policy", "exhaustive-by-size", "--start-length", "5"],
-    ]
-    return calls
-
-
-def report_invocations() -> list[list[str]]:
-    calls = []
-    for i, target in enumerate(REPORT_TARGETS):
-        for max_len in range(0, 26, 2):
-            for j, (scheme, branch) in enumerate((s, b) for s in SCHEMES for b in BRANCHES):
-                temp = ["--temp", "77.5"] if (i + j) % 2 else []
-                calls.append(["report", target, "--max-len", str(max_len), "--scheme", scheme,
-                              "--branch", branch, "--format", FORMATS[(i + j + max_len // 2) % 3],
-                              *temp])
-    for fmt in FORMATS:
-        calls += [
-            ["report", "0", "--max-len", "4", "--format", fmt],  # one program: a warning
-            ["report", "0", "--max-len", "4", "--branch", "principal", "--format", fmt],
-            ["report", "01010101", "--max-len", "8", "--format", fmt],  # no solution
-            ["report", "0", "--max-len", "26", "--format", fmt],  # over the budget
-        ]
-    return calls
-
-
-def run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def digest(calls: list[list[str]]) -> str:
-    h = hashlib.sha256()
-    for argv in calls:
-        h.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
-    return h.hexdigest()
 
 
 def test_invocation_set_covers_the_contract():
@@ -147,6 +82,14 @@ def test_report_invocation_set_covers_the_contract():
 
 def test_report_bytes_match_the_recorded_digest():
     assert digest(report_invocations()) == REPORT_DIGEST
+
+
+def test_corpus_subset_bytes_match_the_recorded_digest():
+    calls = subset()
+    assert {argv[0] for argv in calls} == {"lambertw", "reach", "solve", "report", "search",
+                                           "loss"}
+    assert max(len(argv[1]) for argv in calls if argv[0] in ("solve", "search")) > 64
+    assert digest(calls) == SUBSET_DIGEST
 
 
 def test_convexity_grid_bytes_match_the_recorded_output():

@@ -59,7 +59,7 @@ CASES = [
         ("0011", 0.5, 0.5, 0.25, BranchChoice.LOWER, 1.4e-21, 300.0, 1.0, True),
     ),
     (Program, [("bits", REQUIRED)], ("0011",)),
-    (Problem, [("target", REQUIRED), ("max_bits", 64)], ("0101", 8)),
+    (Problem, [("target", REQUIRED)], ("0101",)),
     (
         SolutionSet,
         [("problem", REQUIRED), ("classes", REQUIRED), ("scheme", REQUIRED)],
@@ -154,13 +154,11 @@ def test_copy_and_pickle_give_an_equal_record(cls, fields, args):
     [
         (lambda: Program("1"), InvalidProgram, "program length must be even, got 1 bits"),
         (lambda: Problem("2"), DomainError, "target must be over {0,1}, got '2'"),
-        (lambda: Problem("0" * 9, max_bits=8), DomainError,
-         "target of 9 bits exceeds the 8-bit maximum"),
         (lambda: Budget(programs=2.5), DomainError, "program budget must be an int, got 2.5"),
         (lambda: Budget(programs=0), DomainError, "program budget must be >= 1, got 0"),
         (lambda: Budget(energy=float("nan")), DomainError, "energy budget must be > 0 J, got nan"),
     ],
-    ids=["program", "problem-bits", "problem-width", "budget-int", "budget-count", "budget-nan"],
+    ids=["program", "problem-bits", "budget-int", "budget-count", "budget-nan"],
 )
 def test_validation_messages_are_unchanged(build, error, message):
     with pytest.raises(error) as info:

@@ -77,7 +77,7 @@ def test_size_descending_temperature_scales_energy():
 def test_size_descending_reaches_the_minimum(rho):
     """Solution sizes are upward closed, so the descent never stops early."""
     trace = demiurge_search(rho, SearchPolicy.SIZE_DESCENDING, max_len=14)
-    bound = kolmogorov_upper(rho, 14)
+    bound = kolmogorov_upper(rho)
     assert trace.best_found is not None
     assert trace.best_found.length == bound.bits
     assert run(trace.best_found) == rho
@@ -138,7 +138,7 @@ def test_greedy_empty_target():
 @settings(max_examples=15, deadline=None)
 def test_greedy_finds_the_minimum_given_budget(rho):
     trace = demiurge_search(rho, SearchPolicy.REACHABILITY_GREEDY, max_len=14)
-    bound = kolmogorov_upper(rho, 14)
+    bound = kolmogorov_upper(rho)
     assert trace.best_found.length == bound.bits
     assert run(trace.best_found) == rho
 
@@ -224,9 +224,9 @@ def test_parameter_validation():
 
 
 def test_search_runs_at_the_problem_width():
-    # A 65-bit target on a 128-bit problem: search and enumeration run the
-    # programs at the same width, so they agree on the shortest program.
-    problem = Problem("0" * 65, max_bits=128)
+    # A 65-bit target: search and enumeration run the programs at the same
+    # width, so they agree on the shortest program.
+    problem = Problem("0" * 65)
     shortest = enumerate_solutions(problem, 18).programs[0]
     greedy = demiurge_search(problem, SearchPolicy.REACHABILITY_GREEDY, max_len=18)
     descent = demiurge_search(problem, SearchPolicy.SIZE_DESCENDING, start_length=18)
@@ -237,7 +237,7 @@ def test_search_runs_at_the_problem_width():
 def test_search_starts_at_the_literal_program_of_a_wide_target():
     # No start_length: the first class is the 10,002-bit transcription's,
     # whose first program is the transcription of 5,000 zeros.
-    problem = Problem("0" * 5000, max_bits=5000)
+    problem = Problem("0" * 5000)
     trace = demiurge_search(problem, SearchPolicy.SIZE_DESCENDING)
     assert trace.segments == ((5001, 1, (0,)), (5000, 99_999, ()))
     assert trace.best_found.bits == "00" * 5000 + "11"
