@@ -14,8 +14,9 @@ scan runs only the programs led by the emit of the target's first bit and
 ending, before HALT, in the emit of its last bit or, for a square target
 ww, in a DOUBLE: one ninth of the class, two ninths for a square;
 reachcalc.machine takes the DOUBLE-led hits from the class below.  The
-kernel also owns each target's prefix table, built once per target: its
-shortest class bounds both the enumeration scans and the walk.
+kernel also owns each target's prefix table, built once per target in
+O(len(target)): its shortest class bounds both the enumeration scans and
+the walk, and it gives the first shortest program in one pass.
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -126,27 +127,62 @@ def _prefix_table(target: str) -> tuple[tuple[bool, ...], tuple[int, ...]]:
     target[:s] to target, HALT not counted.
 
     A program prints the target only if its output stays a prefix of it, so
-    these lengths are the states of every hit.  For s > 0 every edge goes
+    these lengths are the states of every hit.  A double at s > 0 needs
+    target[s:] to share a prefix of at least s bits with the target.  One
+    pass of the Z-function over s <= len(target)/2 gives those shared
+    lengths: each starts from the match reaching furthest so far, so the
+    pass compares O(len(target)) bits in all.  For s > 0 every edge goes
     forward (emit s -> s+1, double s -> 2s), and the double at s = 0 is the
     no-op loop, so one backward pass from s = len(target) counts the fewest
     opcodes.  A search asks for one target's classes in turn, so the last
     table is kept.
     """
     size = len(target)
-    doubles = tuple(2 * s <= size and target[s : 2 * s] == target[:s] for s in range(size + 1))
+    doubles = [True] + [False] * size
+    shared = [0] * (size // 2 + 1)  # the longest common prefix of target[s:] and target
+    left = right = 0  # target[left:right] == target[:right - left], with right the furthest
+    for s in range(1, size // 2 + 1):
+        k = min(shared[s - left], right - s) if s < right else 0
+        while s + k < size and target[k] == target[s + k]:
+            k += 1
+        if s + k > right:
+            left, right = s, s + k
+        shared[s] = k
+        doubles[s] = k >= s
     fewest = [0] * (size + 1)
     for s in reversed(range(size)):
         steps = fewest[s + 1]
         if s and doubles[s]:
             steps = min(steps, fewest[2 * s])
         fewest[s] = steps + 1
-    return doubles, tuple(fewest)
+    return tuple(doubles), tuple(fewest)
 
 
 def shortest_class(target: str) -> int:
     """The opcode count of the shortest programs printing target: every
     class below it is empty, and every class from it on holds a hit."""
     return _prefix_table(target)[1][0] + 1
+
+
+def shortest_program(target: str) -> str:
+    """The first program in lexicographic order of the shortest class for
+    target, read off its prefix table in O(len(target)).
+
+    The emits (00, 01) come before the double (10), so from the empty
+    output it takes the emit while that still reaches the target in the
+    fewest opcodes left, and the double otherwise.
+    """
+    _, fewest = _prefix_table(target)
+    opcodes = []
+    state = 0
+    while state < len(target):
+        if fewest[state + 1] == fewest[state] - 1:
+            opcodes.append(_OPCODES[target[state] == "1"])
+            state += 1
+        else:
+            opcodes.append(DOUBLE)
+            state *= 2
+    return "".join(opcodes) + HALT
 
 
 def class_hit_ranks(n_opcodes: int, target: str, *, stop: int | None = None) -> list[int]:

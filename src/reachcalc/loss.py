@@ -4,8 +4,10 @@ f is convex and strictly decreasing on [-1/e, inf), with slope
 f'(z) = -f(z)^2 / (1 + W0(z)) and f'(0) = -1.  Since W0(z) e^W0(z) = z,
 every value of f is formed as W0(z)/z (1 at z = 0), never as exp(-W0(z)):
 the quotient keeps the relative accuracy of W0, which exp(-w) would
-multiply by |w|.  The matching loss between a prediction z_hat and a
-target z is the Bregman divergence
+multiply by |w|.  f, f' and the loss take W0 straight from W's solver,
+lambertw._solve; eval_w, which adds a residual and a record, serves the
+lambertw and reach commands and the curves.  The matching loss between a
+prediction z_hat and a target z is the Bregman divergence
 
     loss = f(z_hat) - f(z) - f'(z) (z_hat - z) >= 0,
 
@@ -44,7 +46,8 @@ import math
 
 from ._record import Record
 from .errors import DomainError
-from .lambertw import BRANCH_POINT, BranchChoice, _anchored, _exp_tail, _solve, eval_w
+from .lambertw import BRANCH_POINT, BranchChoice, _anchored, _exp_tail, _solve
+from .lambertw import eval_w  # unused; reachbench/layers.py wraps it here
 from .lambertw import w_derivative  # unused; reachbench/layers.py wraps it here
 
 __all__ = [
@@ -87,7 +90,7 @@ def f_exp_negw(z: float) -> float:
 
     Formed as W0(z)/z, since W0(z) e^W0(z) = z.
     """
-    return _exp_neg_w(z, eval_w(z, BranchChoice.PRINCIPAL).value)
+    return _exp_neg_w(z, _solve(z, BranchChoice.PRINCIPAL)[0])
 
 
 def f_prime(z: float) -> float:

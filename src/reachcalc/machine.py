@@ -273,13 +273,11 @@ def kolmogorov_upper(rho: Problem | str) -> ComplexityBound:
 
     The length is K(rho) on this machine, twice the shortest class that the
     kernel's prefix table gives, so nothing is enumerated and every target
-    has an answer.  Ties go to the lexicographically smallest program, the
-    first hit of the target-prefix walk in that class.
+    has an answer.  Ties go to the lexicographically smallest program, which
+    the kernel reads off the same table, so the cost is O(len(rho)).
     """
-    target = _as_problem(rho).target
-    n_opcodes = _core_py.shortest_class(target)
-    first = _core_py.class_hit_ranks(n_opcodes, target)[0]
-    return ComplexityBound(2 * n_opcodes, Program(_core_py.rank_bits(n_opcodes, first)))
+    witness = Program(_core_py.shortest_program(_as_problem(rho).target))
+    return ComplexityBound(witness.length, witness)
 
 
 def _check_scheme(scheme: Scheme) -> None:

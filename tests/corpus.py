@@ -12,7 +12,9 @@ groups, each built in code with no random draw left open:
   searches on 16 zeros, whose records and csv traces list 100,000 rows;
 * base: golden, report and extra, in that order;
 * long: `solve`, `report` and `search` on targets of 65-4,096 bits;
-* all: base, then long.
+* edge: temperatures down to 5e-324 K, curves whose i (hi - lo) overflows,
+  and NaN and +-inf arguments, in every format;
+* all: base, then long, then edge.
 
 Run it from a checkout with any supported Python; it needs neither pytest
 nor an install:
@@ -168,12 +170,60 @@ def long_invocations() -> list[list[str]]:
     return calls
 
 
+# Temperatures about and below 1.8e-301 K, where k T ln2 underflows to 0.
+EDGE_TEMPS = ("1.7892501569595718e-301", "1e-301", "1e-320", "5e-324")
+# (lo, hi, n) curves of W0 where i (hi - lo) overflows for the last points,
+# then bounds or a span that is not finite.  argparse reads a negative
+# number in e-notation, or -inf, as an option unless it follows "--" or "="
+# joins it to its option; --curve's values can do neither, so none is one.
+EDGE_CURVES = (("0", "1e306", "200"), ("0", "1.7976931348623157e308", "7"),
+               ("1e306", "0", "200"), ("-0.3678", "1e308", "3"), ("0", "nan", "3"),
+               ("inf", "1", "3"), ("0", "inf", "3"))
+
+
+def edge_invocations() -> list[list[str]]:
+    """Per format: Landauer units that underflow, overflowing curve grids,
+    and each non-finite value in every float argument of every command."""
+    calls = []
+    for fmt in FORMATS:
+        f = ["--format", fmt]
+        for temp in EDGE_TEMPS:
+            t = ["--temp", temp]
+            calls += [
+                ["reach", "--variation", "0.1", *t, *f],
+                ["reach", "--energy", "5e-324", *t, *f],
+                ["reach", "--energy", "1e-30", *t, *f],
+                ["report", "0", "--max-len", "6", *t, *f],
+                ["search", "0101", "--policy", "size-descending", "--budget-energy", "1e-300",
+                 *t, *f],
+            ]
+        for lo, hi, n in EDGE_CURVES:
+            calls.append(["lambertw", "--curve", lo, hi, n, "--branch", "principal", *f])
+        for v in ("nan", "inf", "-inf"):
+            calls += [
+                ["lambertw", "--branch", "principal", *f, "--", v],
+                ["lambertw", "--branch", "lower", *f, "--", v],
+                ["loss", *f, "--", v, "0"],
+                ["loss", *f, "--", "0", v],
+                ["reach", f"--variation={v}", *f],
+                ["reach", f"--energy={v}", *f],
+                ["reach", "--variation", "0.1", f"--temp={v}", *f],
+                ["report", "0", "--max-len", "6", f"--temp={v}", *f],
+                ["search", "0101", f"--budget-energy={v}", *f],
+                ["search", "0101", f"--temp={v}", *f],
+            ]
+        calls += [["reach", "--curve", "0.1", "inf", "3", *f],
+                  ["reach", "--curve", "nan", "0.5", "3", *f]]
+    return calls
+
+
 def groups() -> dict[str, list[list[str]]]:
-    golden, report, extra, long = (invocations(), report_invocations(), extra_invocations(),
-                                   long_invocations())
+    golden, report, extra, long, edge = (invocations(), report_invocations(),
+                                         extra_invocations(), long_invocations(),
+                                         edge_invocations())
     base = golden + report + extra
     return {"golden": golden, "report": report, "extra": extra, "base": base, "long": long,
-            "all": base + long}
+            "edge": edge, "all": base + long + edge}
 
 
 def subset() -> list[list[str]]:
@@ -181,7 +231,7 @@ def subset() -> list[list[str]]:
     report and long and every 6th of extra, from the first.  Each stride is
     prime to the period of its group's calls (six per long target, seven per
     branch in extra), so the sample takes every kind of call there, and
-    none of extra's 100,000-row traces."""
+    none of extra's 100,000-row traces.  It takes no edge call."""
     strides = {"golden": 7, "report": 7, "extra": 6, "long": 7}
     named = groups()
     return [argv for name, stride in strides.items() for argv in named[name][::stride]]

@@ -139,6 +139,14 @@ def oracle_class_counts(target: str, max_opcodes: int) -> list[int]:
 
 
 
+def oracle_doubles(target: str) -> tuple[bool, ...]:
+    """For each prefix length s = 0..len(target), whether a double takes the
+    output target[:s] to target[:2s], by the definition: one comparison of
+    target[s:2s] with target[:s] for each s, quadratic on periodic targets."""
+    size = len(target)
+    return tuple(2 * s <= size and target[s : 2 * s] == target[:s] for s in range(size + 1))
+
+
 def oracle_complexity(target: str) -> int:
     """K(target) in bits: the fewest opcodes from the empty output to target,
     plus HALT, two bits each, by breadth-first search over output lengths.

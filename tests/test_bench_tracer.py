@@ -2,8 +2,8 @@
 
 reachbench/layers.py wraps reachcalc functions where their callers look them
 up, so it names module attributes that the package itself may no longer
-call (machine.entropy_variation, machine._core, loss.w_derivative,
-search.reach_from_variation).  Deleting one of them
+call (machine.entropy_variation, machine._core, loss.eval_w,
+loss.w_derivative, search.reach_from_variation).  Deleting one of them
 passes every other test and crashes `reachbench/run.py --trace 1`; these
 tests catch that.  The tracer also wraps search._core_py and
 search.iter_valid_programs and reads the trace a search returns.

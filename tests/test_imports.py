@@ -22,6 +22,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reachcalc"
 TRACER_NAMES = {
     ("machine", "entropy_variation"),  # reachbench/layers.py wraps machine.entropy_variation
     ("loss", "w_derivative"),  # reachbench/layers.py wraps loss.w_derivative
+    ("loss", "eval_w"),  # reachbench/layers.py wraps loss.eval_w
     ("search", "reach_from_variation"),  # reachbench/layers.py wraps search.reach_from_variation
     ("cli", "reachability_report"),  # reachbench/layers.py wraps cli.reachability_report
     ("cli", "kolmogorov_upper"),  # reachbench/layers.py wraps cli.kolmogorov_upper

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -329,6 +330,23 @@ def test_convexity_certificate_evaluates_f_once_per_grid_point(monkeypatch):
     assert len(set(calls)) == 1037
     assert calls == sorted(calls)
     assert calls[0] == cert.lo
+
+
+def test_f_takes_eval_ws_value_at_every_grid_point(monkeypatch):
+    """f reads W0 from the solver without eval_w's record and residual, and
+    gives eval_w's value over z to the bit at each of the 1,037 points the
+    certificate evaluates, and eval_w's error text out of the domain."""
+    calls = []
+    monkeypatch.setattr(loss, "f_exp_negw", lambda z: calls.append(z) or f_exp_negw(z))
+    convexity_certificate()
+    assert len(calls) == 1037 and 0.0 not in calls
+    for z in calls:
+        assert f_exp_negw(z) == eval_w(z, BranchChoice.PRINCIPAL).value / z, z
+    for z in (math.nan, math.inf, -math.inf, -1.0, math.nextafter(BRANCH_POINT, -1.0)):
+        with pytest.raises(DomainError) as want:
+            eval_w(z, BranchChoice.PRINCIPAL)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            f_exp_negw(z)
 
 
 def _fresh_certificate() -> tuple[loss.ConvexityCertificate, int]:

@@ -428,6 +428,55 @@ def test_the_prefix_table_matches_the_oracle():
             assert got == [bits for bits in programs if len(bits) == 2 * n], (target, n)
 
 
+def _long_targets(seed, count, low, high):
+    """count seeded random targets and count periodic ones, with units of
+    1-12 bits, each of low-high bits."""
+    rng = random.Random(seed)
+    targets = []
+    for _ in range(count):
+        targets.append("".join(rng.choice("01") for _ in range(rng.randint(low, high))))
+        unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+        targets.append((unit * high)[: rng.randint(low, high)])
+    return targets
+
+
+def test_the_prefix_table_doubles_match_the_definition():
+    """The kernel's one Z-function pass against target[s:2s] == target[:s]
+    for each s: every target of <= 10 bits, runs of zeros, and seeded
+    random and periodic targets of up to 4,096 bits."""
+    targets = _targets(10) + ["0" * n for n in (31, 32, 33, 1023, 1024)]
+    for target in targets + _long_targets(34, 12, 11, 4096):
+        assert _core_py._prefix_table(target)[0] == oracles.oracle_doubles(target), target
+
+
+def test_the_witness_is_the_first_hit_of_the_walk():
+    """kolmogorov_upper's witness, read off the prefix table, is the first
+    hit of the target-prefix walk in the shortest class, on seeded random
+    and periodic targets of 11-600 bits."""
+    for target in _long_targets(35, 40, 11, 600):
+        n = _core_py.shortest_class(target)
+        first = _core_py.class_hit_ranks(n, target)[0]
+        assert kolmogorov_upper(target).witness.bits == _core_py.rank_bits(n, first), target
+
+
+@pytest.mark.parametrize("code", [
+    "_core_py.shortest_class('0' * 10**6)",
+    "_core_py.shortest_class('01' * 500_000)",
+    "rng = random.Random(36)\n"
+    "kolmogorov_upper(''.join(rng.choice('01') for _ in range(262_144)))",
+], ids=["zeros", "alternating", "random-K"])
+def test_long_targets_take_linear_time(code):
+    """The prefix table and K's witness on targets of 10^6 and 262,144 bits,
+    where comparing prefixes or carrying the witness's base-3 rank takes
+    quadratic time: a fresh interpreter under a 10 s timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reachcalc.__file__).parent.parent))
+    code = ("import random\nfrom reachcalc import _core_py\n"
+            "from reachcalc.machine import kolmogorov_upper\n" + code)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=10)
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 def test_each_class_is_its_emit_led_hits_then_the_class_below_behind_a_double():
     """The one rule enumeration builds every class by, checked on the
     brute-force scan for every class from 2 to 9 opcodes: the hits led by
@@ -692,13 +741,8 @@ def test_kolmogorov_upper_matches_the_shortest_path_oracle():
     """K against a breadth-first search over the prefix states, built from
     the target alone: seeded random targets of 100-4,096 bits, periodic ones
     (whose doubles shorten K) and runs of zeros."""
-    rng = random.Random(33)
     targets = ["0" * n for n in (*range(100), 127, 128, 129, 1000, 1023, 1025, 4095)]
-    for _ in range(12):
-        targets.append("".join(rng.choice("01") for _ in range(rng.randint(100, 4096))))
-        unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
-        targets.append((unit * 4096)[: rng.randint(100, 4096)])
-    for target in targets:
+    for target in targets + _long_targets(33, 12, 100, 4096):
         bound = kolmogorov_upper(target)
         assert bound.bits == oracles.oracle_complexity(target), target
         assert bound.witness.length == bound.bits
