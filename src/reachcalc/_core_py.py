@@ -11,12 +11,14 @@ the length of the programs a search trace lists.
 reachcalc.machine and reachcalc.search call these directly.  Programs
 arriving here are validated (even, terminal HALT only).  The length-class
 scan runs only the programs led by the emit of the target's first bit and
-ending, before HALT, in the emit of its last bit or, for a square target
-ww, in a DOUBLE: one ninth of the class, two ninths for a square;
-reachcalc.machine takes the DOUBLE-led hits from the class below.  The
-kernel also owns each target's prefix table, built once per target in
-O(len(target)): its shortest class bounds both the enumeration scans and
-the walk, and it gives the first shortest program in one pass.
+ending, before HALT, in the emit of its last bit: 3**(n - 3) of a class of
+n opcodes, one ninth of it.  For a square target ww it adds the
+DOUBLE-ended hits from the half's scan one class down, so a square costs
+3**(n - 3) runs plus the half's; reachcalc.machine takes the DOUBLE-led
+hits from the class below.  The kernel also owns each target's prefix
+table, built once per target in O(len(target)): its shortest class bounds
+both the enumeration scans and the walk, and it gives the first shortest
+program in one pass.
 
 The rank of a program of n opcodes is its body read as n - 1 base-3
 digits, most significant first, with 00 = 0, 01 = 1 and 10 = 2; rank order
@@ -71,23 +73,37 @@ def scan_length_class(n_opcodes: int, target: str) -> list[str]:
     of target[0] can hit; in every other case no emit-led program prints the
     target.  The last opcode before HALT finishes the output: an emit must
     append target[-1], and a DOUBLE prints ww, so it can hit only when the
-    target is a square ww.  So class n >= 3 runs 3**(n - 3) candidates,
-    twice that for a square; the ending is the last rank digit, so running
-    it innermost keeps rank order.  Every candidate runs at the target's
-    width: the output only grows, so a program stopped for outgrowing the
-    target could never have printed it.
+    target is a square ww, and then exactly when the opcodes before it print
+    w.  So class n >= 3 runs the 3**(n - 3) candidates ending in the emit,
+    and a square's DOUBLE-ended hits are h[:-2] + DOUBLE + HALT for the
+    emit-led hits h of class n - 1 that print w, the same scan one class
+    down on the half.  Every candidate runs at the target's width: the
+    output only grows, so a program stopped for outgrowing the target could
+    never have printed it.
     """
     if n_opcodes < 2 or not target:
         return [HALT] if n_opcodes == 1 and not target else []
+    return _emit_led_hits(n_opcodes, target)
+
+
+def _emit_led_hits(n_opcodes: int, target: str) -> list[str]:
+    """scan_length_class for n_opcodes >= 2 and a non-empty target.  The
+    half of a square ww is scanned by calling this function, not
+    scan_length_class, so a wrapper of scan_length_class sees one call per
+    class however long the chain of squares; a square costs at most
+    1.5 * 3**(n - 3) runs."""
     lead, width = _OPCODES[target[0] == "1"], len(target)
     if n_opcodes == 2:
         return [lead + HALT] if width == 1 else []  # it prints target[0]
-    ends = [_OPCODES[target[-1] == "1"] + HALT]
-    if target[: width // 2] * 2 == target:
-        ends.append(DOUBLE + HALT)
-    candidates = (lead + "".join(body) + end
-                  for body in product(_OPCODES, repeat=n_opcodes - 3) for end in ends)
-    return [bits for bits in candidates if run_bits(bits, width) == target]
+    end = _OPCODES[target[-1] == "1"] + HALT
+    candidates = (lead + "".join(body) + end for body in product(_OPCODES, repeat=n_opcodes - 3))
+    hits = [bits for bits in candidates if run_bits(bits, width) == target]
+    half = target[: width // 2]
+    if half + half != target:
+        return hits
+    # Both lists are in rank order, which is bit order, so sorting merges them.
+    doubled = [bits[:-2] + DOUBLE + HALT for bits in _emit_led_hits(n_opcodes - 1, half)]
+    return sorted(hits + doubled)
 
 
 def iter_valid_programs(n_opcodes: int) -> Iterator[str]:

@@ -23,10 +23,10 @@ each hit of the class below, since a DOUBLE on the empty output is a no-op.
 A program's first emitted bit is its output's first bit, and its last
 opcode before HALT emits rho's last bit or, for a square rho = ww, doubles
 w.  So only the programs led by the emit of rho's first bit and ending in
-such an opcode are scanned, one ninth of the class (two ninths for a
-square), and only in the classes from the shortest one, which the kernel's
-prefix table gives, up to len(rho) + 1; past that class no emit-led program
-hits.
+the emit of rho's last bit are run, one ninth of the class, and a square
+adds the DOUBLE-ended hits from the half's scan one class down.  Scans run
+only in the classes from the shortest one, which the kernel's prefix table
+gives, up to len(rho) + 1; past that class no emit-led program hits.
 
 The machine is straight-line: a program of n opcodes runs exactly n steps,
 and its output never shrinks.  So a program's step count is its own length,
@@ -224,13 +224,14 @@ def _class_hits(problem: Problem, max_len: int) -> Iterator[list[str]]:
     scan_length_class gives the emit-led hits: for n >= 3 it runs only the
     programs led by the emit of target[0], since the first emitted bit is
     the output's first bit, and ending before HALT in the emit of
-    target[-1] or, for a square target ww, a DOUBLE: 3**(n - 3) programs,
-    twice that for a square; for n = 2, emit(target[0]) + HALT when the
-    target is one bit; for n = 1, the lone HALT.  It is called only in the
-    classes from the shortest one up to len(target) + 1.  Every class
-    below the shortest is empty, and an emit-led program of n >=
-    len(target) + 2 opcodes prints at least n - 1 bits, since every later
-    opcode but HALT adds a bit, so it misses.
+    target[-1]: 3**(n - 3) programs.  For a square target ww it adds the
+    DOUBLE-ended hits, which it takes from its scan of w one class down, so
+    a square costs 3**(n - 3) runs plus the half's.  For n = 2 it gives
+    emit(target[0]) + HALT when the target is one bit; for n = 1, the lone
+    HALT.  It is called only in the classes from the shortest one up to
+    len(target) + 1.  Every class below the shortest is empty, and an
+    emit-led program of n >= len(target) + 2 opcodes prints at least n - 1
+    bits, since every later opcode but HALT adds a bit, so it misses.
     """
     _check_even_length("max_len", max_len, 0)
     if max_len >= DEFAULT_ENUM_BUDGET.bit_length():  # i.e. 2**max_len > DEFAULT_ENUM_BUDGET

@@ -14,7 +14,10 @@ groups, each built in code with no random draw left open:
 * long: `solve`, `report` and `search` on targets of 65-4,096 bits;
 * edge: temperatures down to 5e-324 K, curves whose i (hi - lo) overflows,
   and NaN and +-inf arguments, in every format;
-* all: base, then long, then edge.
+* squares: `solve` and `report` on the doubling family, 1-4-bit blocks
+  repeated to 8, 12 and 16 bits, whose scans take their DOUBLE-ended hits
+  from the half's scan;
+* all: base, then long, then edge, then squares.
 
 Run it from a checkout with any supported Python; it needs neither pytest
 nor an install:
@@ -217,13 +220,38 @@ def edge_invocations() -> list[list[str]]:
     return calls
 
 
+# Every block of 1-2 bits (00 and 11 repeat as 0 and 1), then a fixed few of
+# 3-4 bits.  Repeated and cut to 8, 12 or 16 bits, they give chains of
+# squares 1-4 deep, ending in a half that is not a square or in one bit, and
+# some targets that are not squares.
+SQUARE_BLOCKS = ("0", "1", "01", "10", "001", "011", "0110", "0010")
+
+
+def squares_invocations() -> list[list[str]]:
+    """Four calls per (block, width, max-len): solve under each scheme and
+    report under each branch, the format, and report's scheme, cycling
+    with the call's index."""
+    calls = []
+    cases = [(block, width, max_len) for block in SQUARE_BLOCKS for width in (8, 12, 16)
+             for max_len in (16, 20, 24)]
+    for i, (block, width, max_len) in enumerate(cases):
+        target, m = (block * width)[:width], ["--max-len", str(max_len)]
+        for j, scheme in enumerate(SCHEMES):
+            calls.append(["solve", target, *m, "--scheme", scheme,
+                          "--format", FORMATS[(i + j) % 3]])
+        for j, branch in enumerate(BRANCHES):
+            calls.append(["report", target, *m, "--scheme", SCHEMES[(i + j) % 2],
+                          "--branch", branch, "--format", FORMATS[(i + 2 * j) % 3]])
+    return calls
+
+
 def groups() -> dict[str, list[list[str]]]:
-    golden, report, extra, long, edge = (invocations(), report_invocations(),
-                                         extra_invocations(), long_invocations(),
-                                         edge_invocations())
+    golden, report, extra, long, edge, squares = (
+        invocations(), report_invocations(), extra_invocations(), long_invocations(),
+        edge_invocations(), squares_invocations())
     base = golden + report + extra
     return {"golden": golden, "report": report, "extra": extra, "base": base, "long": long,
-            "edge": edge, "all": base + long + edge}
+            "edge": edge, "squares": squares, "all": base + long + edge + squares}
 
 
 def subset() -> list[list[str]]:
@@ -231,7 +259,7 @@ def subset() -> list[list[str]]:
     report and long and every 6th of extra, from the first.  Each stride is
     prime to the period of its group's calls (six per long target, seven per
     branch in extra), so the sample takes every kind of call there, and
-    none of extra's 100,000-row traces.  It takes no edge call."""
+    none of extra's 100,000-row traces.  It takes no edge or squares call."""
     strides = {"golden": 7, "report": 7, "extra": 6, "long": 7}
     named = groups()
     return [argv for name, stride in strides.items() for argv in named[name][::stride]]

@@ -498,9 +498,14 @@ def test_each_class_is_its_emit_led_hits_then_the_class_below_behind_a_double():
 def test_scan_length_class_is_the_brute_force_on_its_emit_block():
     """scan_length_class(n, target) is the whole class's brute force cut to
     the block of ranks led by the emit of target[0] (the lone HALT in class
-    1), for every target of <= 6 bits and every class up to 9 opcodes."""
+    1), for every target of <= 6 bits and every class up to 9 opcodes, and
+    up to 10 opcodes for chains of squares 1-4 halves deep, some ending in
+    a half that is not a square."""
     for n in range(0, 10):
         for target in _targets(6):
+            assert _core_py.scan_length_class(n, target) == _shared_scan(n, target), (n, target)
+    for target in ("0" * 8, "0" * 16, "01" * 4, "01" * 8, "0110" * 4, "1" * 12):
+        for n in range(0, 11):
             assert _core_py.scan_length_class(n, target) == _shared_scan(n, target), (n, target)
 
 
@@ -532,13 +537,24 @@ def test_the_last_opcode_before_halt_finishes_the_target():
                 assert doubled == [], (target, n)
 
 
+def _runs(n_opcodes, target):
+    """The candidates a scan runs: 3**(n - 3) for n >= 3 and a non-empty
+    target, plus, for a square ww, the runs of its scan of w in class
+    n - 1; none below class 3, where a hit is read off the target."""
+    if n_opcodes < 3 or not target:
+        return 0
+    half = target[: len(target) // 2]
+    return 3 ** (n_opcodes - 3) + (_runs(n_opcodes - 1, half) if _is_square(target) else 0)
+
+
 @pytest.mark.parametrize("n_opcodes", range(1, 9))
 def test_scan_length_class_runs_only_its_emit_block(n_opcodes, monkeypatch):
     """The scan's cost: for n >= 3 and a non-empty target, 3**(n - 3)
-    candidates, twice that for a square target; each is led by the emit of
-    target[0] and ends before HALT in the emit of target[-1], or in a DOUBLE
-    only for a square.  At most one candidate for n = 2, and none for an
-    empty target or the one-opcode class."""
+    candidates, plus for a square ww the half's scan one class down, down
+    the chain of halves.  At every level each candidate is led by the emit
+    of target[0] and ends before HALT in the emit of target[-1], the last
+    bit of every half too; none ends in a DOUBLE.  No candidate runs for an
+    empty target or a class below 3."""
     ran = []
     run_bits = _core_py.run_bits
 
@@ -547,20 +563,13 @@ def test_scan_length_class_runs_only_its_emit_block(n_opcodes, monkeypatch):
         return run_bits(bits, width)
 
     monkeypatch.setattr(_core_py, "run_bits", spy)
-    for target in ("", "0", "1", "0110", "0101", "1" * 8, "1" * 9):
+    for target in ("", "0", "1", "0110", "0101", "1" * 8, "1" * 9, "0110" * 2, "01" * 4):
         ran.clear()
         _core_py.scan_length_class(n_opcodes, target)
-        if not target or n_opcodes < 2:
-            assert ran == [], (n_opcodes, target)
-            continue
-        assert {bits[:2] for bits in ran} <= {_core_py._OPCODES[target[0] == "1"]}
-        if n_opcodes == 2:
-            assert len(ran) <= 1, target
-            continue
-        square = _is_square(target)
-        assert len(ran) == 3 ** (n_opcodes - 3) * (1 + square), (n_opcodes, target)
-        ends = {_core_py._OPCODES[target[-1] == "1"]} | ({_core_py.DOUBLE} if square else set())
-        assert {bits[-4:-2] for bits in ran} <= ends, (n_opcodes, target)
+        assert len(ran) == _runs(n_opcodes, target), (n_opcodes, target)
+        assert {bits[:2] for bits in ran} <= {_core_py._OPCODES[target[:1] == "1"]}
+        assert {bits[-4:-2] for bits in ran} <= {_core_py._OPCODES[target[-1:] == "1"]}, (
+            n_opcodes, target)
 
 
 @pytest.mark.parametrize("targets, max_len", [
